@@ -12,6 +12,7 @@ re-serializes them and re-derives the logs, certificate, and report.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -20,8 +21,12 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from flowreject import (  # noqa: E402
+    BASELINE_POLICIES,
     JobSpec,
+    WorkloadSpec,
+    baseline,
     build_certificate,
+    generate,
     make_instance,
     serialize_event_log,
     serialize_instance,
@@ -118,6 +123,61 @@ def certificate_json(outcome) -> dict:
     }
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def outcome_digest(outcome) -> dict:
+    """Digests of the event log and of the sorted S/C/machine_of/reject_cause
+    maps of one run."""
+
+    def rat(value):
+        return None if value is None else format_rational(value)
+
+    maps = json.dumps(
+        {
+            "S": {str(j): rat(v) for j, v in sorted(outcome.S.items())},
+            "C": {str(j): rat(v) for j, v in sorted(outcome.C.items())},
+            "machine_of": {str(j): v for j, v in sorted(outcome.machine_of.items())},
+            "reject_cause": {str(j): v for j, v in sorted(outcome.reject_cause.items())},
+        },
+        sort_keys=True,
+    )
+    return {"events": _sha(serialize_event_log(outcome.events)), "maps": _sha(maps)}
+
+
+def loop_digests() -> list[dict]:
+    # 24 generated instances: every combination of m in {1, 2, 3}, mean
+    # interarrival in {1, 3} and epsilon in {1/4, 1/2}, twice, with n <= 15.
+    cases = []
+    for idx in range(24):
+        case = {
+            "n": 15 - (idx // 12) * 6,
+            "m": idx % 3 + 1,
+            "mean_interarrival": (1, 3)[idx // 3 % 2],
+            "epsilon": ("1/4", "1/2")[idx // 6 % 2],
+            "seed": 50_000 + idx,
+        }
+        instance = generate(
+            WorkloadSpec(
+                n=case["n"],
+                m=case["m"],
+                p_min=1,
+                p_max=10,
+                w_min=1,
+                w_max=10,
+                mean_interarrival=case["mean_interarrival"],
+                seed=case["seed"],
+                epsilon=Fraction(case["epsilon"]),
+            )
+        )
+        digests = {"simulate": outcome_digest(simulate(instance))}
+        for policy in BASELINE_POLICIES:
+            digests[policy] = outcome_digest(baseline(instance, policy))
+        cases.append({**case, "digests": digests})
+    return cases
+
+
 def main() -> None:
     FIXTURES.mkdir(parents=True, exist_ok=True)
     instances = {
@@ -138,10 +198,14 @@ def main() -> None:
     )
     report, _ = build_report(e1)
     (FIXTURES / "e1_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    (FIXTURES / "loop_digests.json").write_text(
+        json.dumps(loop_digests(), indent=2) + "\n"
+    )
     for name in sorted(instances) + [
         "e1_events.jsonl",
         "e1_certificate.json",
         "e1_report.json",
+        "loop_digests.json",
     ]:
         print("wrote", FIXTURES / name)
 

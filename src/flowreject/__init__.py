@@ -39,7 +39,6 @@ from .engine import (
     SimulationPanic,
     Snapshot,
     event_to_json,
-    next_job_hdf,
     replay_prefix,
     serialize_event_log,
     simulate,
@@ -75,7 +74,6 @@ from .policy import (
     WeightGapDecision,
     apply_preempt_rule,
     compute_alpha_ij,
-    compute_delta_ij,
     compute_rho,
     dispatch,
     queue_key,

@@ -144,15 +144,6 @@ class Objectives:
     sum_w_ctilde: Fraction
 
 
-def _wf(t: Fraction, r: Fraction, ct: Fraction, p: Fraction, w: Fraction) -> Fraction:
-    """Fractional weight, zero outside [r, ct)."""
-    if t < r or t >= ct:
-        return _ZERO
-    if t <= ct - p:
-        return w
-    return w * (ct - t) / p
-
-
 def fractional_weight(
     j: int,
     t: Fraction,
@@ -331,8 +322,12 @@ def check_dual_feasibility(cert: DualCertificate, outcome: SimOutcome) -> CheckR
 
 
 def _wf_of(outcome: SimOutcome, cert: DualCertificate, h: int, i: int, t: Fraction) -> Fraction:
+    """Fractional weight of job h on machine i at t, zero outside its support."""
     job = outcome.jobs[h]
-    return _wf(t, job.release, cert.ctilde[h], job.proc[i], job.weight)
+    ct = cert.ctilde[h]
+    if t < job.release or t >= ct:
+        return _ZERO
+    return fractional_weight(h, t, ct, job.proc[i], job.weight, job.release)
 
 
 def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckReport:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -173,11 +174,17 @@ def _oracle_section(instance, outcome, objs, oracle_limit: int) -> dict:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    _write(json.dumps(payload, indent=2) + "\n", out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _read_instance(path: str) -> Instance:
@@ -229,12 +236,7 @@ def _workload_from(args) -> WorkloadSpec:
 
 
 def cmd_gen(args) -> int:
-    instance = generate(_workload_from(args))
-    text = serialize_instance(instance)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write(serialize_instance(generate(_workload_from(args))), args.out)
     return EXIT_OK
 
 
@@ -271,26 +273,22 @@ def cmd_sweep(args) -> int:
         raise CliError(str(exc)) from exc
     if not eps_list or args.count < 1:
         raise CliError("need at least one epsilon and --count >= 1")
+    base = _workload_from(args)
+    try:
+        specs = [replace(base, epsilon=eps) for eps in eps_list]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     rows = []
     all_passed = True
-    for eps in eps_list:
+    for eps_spec in specs:
+        eps = eps_spec.epsilon
         max_frac1 = Fraction(0)
         max_frac2 = Fraction(0)
         max_ratio: Fraction | None = None
         checks_passed = 0
         checks_total = 0
         for idx in range(args.count):
-            spec = WorkloadSpec(
-                n=args.n,
-                m=args.m,
-                p_min=_parse_range(args.p_range)[0],
-                p_max=_parse_range(args.p_range)[1],
-                w_min=_parse_range(args.w_range)[0],
-                w_max=_parse_range(args.w_range)[1],
-                mean_interarrival=args.mean_interarrival,
-                seed=(args.seed + idx) % (1 << 64),
-                epsilon=eps,
-            )
+            spec = replace(eps_spec, seed=(args.seed + idx) % (1 << 64))
             instance = generate(spec)
             with_oracle = len(instance.jobs) <= args.oracle_limit
             report, passed = build_report(
@@ -366,7 +364,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             continue
         if key in config:
             raw = config[key]
-            setattr(args, key, int(raw) if key in _INT_KEYS else raw)
+            try:
+                setattr(args, key, int(raw) if key in _INT_KEYS else raw)
+            except ValueError:
+                raise CliError(f"config key {key}: expected an integer, got {raw!r}") from None
         elif key == "epsilon" and hasattr(args, "instance"):
             pass  # no flag and no config entry: keep the instance file's value
         else:

@@ -12,9 +12,11 @@ to the cheapest, charge the preempt-rule counter on the chosen machine, then
 run the weight-gap rule there. A started job runs to completion unless the
 preempt rule rejects it; its consumed time is then wasted.
 
-The simulator keeps a full audit trail (per-arrival decision records, budget
-trajectories, end-of-timestamp queue snapshots) so the certificate layer can
-reconstruct machine state at any time without re-running anything.
+The simulator keeps an audit trail (the event log, per-arrival decision
+records, mid-run rejections per machine, end-of-timestamp queue snapshots) so
+the certificate layer can reconstruct machine state at any time without
+re-running anything. The no-rejection baselines in ``oracle`` run through the
+same loop with their own arrival step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .instance import Instance, JobSpec
 from .rational import format_rational
@@ -38,7 +40,6 @@ __all__ = [
     "SimOutcome",
     "simulate",
     "replay_prefix",
-    "next_job_hdf",
     "event_to_json",
     "serialize_event_log",
 ]
@@ -56,8 +57,8 @@ class SimulationPanic(RuntimeError):
 class MachineState:
     """Live state of one machine: the running job, the queue, and counters.
 
-    ``pending`` holds job ids in queue order (density descending, release
-    ascending, id ascending). ``count1`` tracks arrival weight charged against
+    ``pending`` holds job ids in queue order (for the paper's policy: density
+    descending, release ascending, id ascending). ``count1`` tracks arrival weight charged against
     the running job; ``count2`` tracks weight-gap counter values by job id.
     ``W`` is the rejection budget.
     """
@@ -125,17 +126,13 @@ class ArrivalInfo:
     job: int
     time: Fraction
     machine: int
-    alpha_j: Fraction
-    alpha_all: tuple[Fraction, ...]
     branch: str
-    w_before: Fraction
     w_after: Fraction
     v_before: tuple[int, ...]
     v_after: tuple[int, ...]
     nu_before: int | None
     nu_after: int | None
     r2: tuple[int, ...]
-    s_index: int | None
     preempt_rejected: int | None
     kappa: int | None
     kappa_q: Fraction | None
@@ -159,37 +156,29 @@ _EMPTY_SNAPSHOT = Snapshot(Fraction(0), (), None, None, Fraction(0))
 
 @dataclass
 class SimOutcome:
-    """Complete trace of one simulation run."""
+    """Complete trace of one simulation run.
+
+    ``jobs`` maps id to job. ``r1_events[i]`` lists the mid-run rejections on
+    machine i as (time, job, remaining work).
+    """
 
     instance: Instance
+    jobs: dict[int, JobSpec] = field(default_factory=dict)
     events: list[EventRecord] = field(default_factory=list)
     machine_of: dict[int, int] = field(default_factory=dict)
     alpha: dict[int, Fraction] = field(default_factory=dict)
-    alpha_all: dict[int, tuple[Fraction, ...]] = field(default_factory=dict)
     S: dict[int, Fraction | None] = field(default_factory=dict)
     C: dict[int, Fraction | None] = field(default_factory=dict)
     L: dict[int, Fraction] = field(default_factory=dict)
     reject_cause: dict[int, str | None] = field(default_factory=dict)
     reject_trigger: dict[int, int | None] = field(default_factory=dict)
-    q_at_reject: dict[int, Fraction] = field(default_factory=dict)
     arrivals: dict[int, ArrivalInfo] = field(default_factory=dict)
-    w_traj: list[list[tuple[Fraction, Fraction]]] = field(default_factory=list)
     r1_events: list[list[tuple[Fraction, int, Fraction]]] = field(default_factory=list)
-    r2_events: list[list[tuple[Fraction, int, tuple[int, ...]]]] = field(default_factory=list)
     snapshots: list[list[Snapshot]] = field(default_factory=list)
     total_weight: Fraction = Fraction(0)
     weighted_flow_completed: Fraction = Fraction(0)
     rejected_weight_preempt: Fraction = Fraction(0)
     rejected_weight_weight_gap: Fraction = Fraction(0)
-
-    @property
-    def jobs(self) -> dict[int, JobSpec]:
-        return {j.id: j for j in self.instance.jobs}
-
-    def p_of(self, job_id: int) -> Fraction:
-        """Processing time of a job on its dispatch machine."""
-        job = next(j for j in self.instance.jobs if j.id == job_id)
-        return job.proc[self.machine_of[job_id]]
 
     def state_at(self, machine: int, t: Fraction) -> Snapshot:
         """Machine state at time t, right-continuous across events."""
@@ -211,11 +200,6 @@ class SimOutcome:
             if not out or out[-1] != rec.time:
                 out.append(rec.time)
         return out
-
-
-def next_job_hdf(state: MachineState) -> int | None:
-    """Highest-density pending job (ties: earliest release, lowest id)."""
-    return state.pending[0] if state.pending else None
 
 
 def event_to_json(record: EventRecord) -> dict:
@@ -264,16 +248,21 @@ def replay_prefix(instance: Instance, k: int) -> SimOutcome:
 
 
 class _Simulator:
+    """The event loop, with the paper's policy as its arrival step.
+
+    ``run`` processes completions, then arrivals via ``_arrive``, then starts,
+    at each timestamp. A comparison policy subclasses this and replaces
+    ``_arrive``.
+    """
+
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self.jobs = {j.id: j for j in instance.jobs}
         self.eps = instance.epsilon
         self.machines = [MachineState(i) for i in range(instance.machines)]
-        self.out = SimOutcome(instance=instance)
+        self.out = SimOutcome(instance=instance, jobs=self.jobs)
         m = instance.machines
-        self.out.w_traj = [[(Fraction(0), Fraction(0))] for _ in range(m)]
         self.out.r1_events = [[] for _ in range(m)]
-        self.out.r2_events = [[] for _ in range(m)]
         self.out.snapshots = [[] for _ in range(m)]
         for j in instance.jobs:
             self.out.S[j.id] = None
@@ -327,9 +316,7 @@ class _Simulator:
         m.count2.pop(job_id, None)
 
     def _start(self, m: MachineState, now: Fraction) -> None:
-        job_id = next_job_hdf(m)
-        assert job_id is not None
-        m.pending.pop(0)
+        job_id = m.pending.pop(0)
         m.running = job_id
         m.run_start = now
         self.out.events.append(EventRecord(now, "start", job=job_id, machine=m.id))
@@ -340,7 +327,6 @@ class _Simulator:
         chosen, alpha_j, alphas = policy.dispatch(snaps, j, self.jobs, self.eps)
         self.out.machine_of[j.id] = chosen
         self.out.alpha[j.id] = alpha_j
-        self.out.alpha_all[j.id] = tuple(alphas)
         self.out.events.append(
             EventRecord(
                 now,
@@ -364,7 +350,6 @@ class _Simulator:
             self.out.L[rejected1] = now
             self.out.reject_cause[rejected1] = "preempt"
             self.out.reject_trigger[rejected1] = j.id
-            self.out.q_at_reject[rejected1] = q
             self.out.r1_events[m.id].append((now, rejected1, q))
             self._r1_this_stamp.add(m.id)
             m.running = None
@@ -374,20 +359,18 @@ class _Simulator:
 
         v_before = tuple(m.pending)
         nu_before = v_before[-1] if v_before else None
-        w_before = m.W
         kappa = m.running
         kappa_q = m.remaining(now, self.jobs) if m.running is not None else None
 
         dec = policy.weight_gap_reject(
-            [self.jobs[h] for h in m.pending], w_before, m.count2, j, self.eps, m.id
+            [self.jobs[h] for h in m.pending], m.W, m.count2, j, self.eps, m.id
         )
         m.count2.update(dec.counter_updates)
         m.W = dec.new_w
-        self.out.w_traj[m.id].append((now, dec.new_w))
         rejected_set = set(dec.rejected)
         m.pending = [h for h in m.pending if h not in rejected_set]
         if j.id not in rejected_set:
-            self._insert_pending(m, j)
+            self._insert_pending(m, j, policy.queue_key)
         for h in dec.rejected:
             self.out.L[h] = now
             self.out.reject_cause[h] = "weight_gap"
@@ -405,7 +388,6 @@ class _Simulator:
                     branch=dec.branch,
                 )
             )
-            self.out.r2_events[m.id].append((now, j.id, dec.rejected))
         u_after = tuple(
             [(h, self.jobs[h].proc[m.id]) for h in m.pending]
             + ([(m.running, m.remaining(now, self.jobs))] if m.running is not None else [])
@@ -414,17 +396,13 @@ class _Simulator:
             job=j.id,
             time=now,
             machine=m.id,
-            alpha_j=alpha_j,
-            alpha_all=tuple(alphas),
             branch=dec.branch,
-            w_before=w_before,
             w_after=m.W,
             v_before=v_before,
             v_after=tuple(m.pending),
             nu_before=nu_before,
             nu_after=m.pending[-1] if m.pending else None,
             r2=dec.rejected,
-            s_index=dec.s_index,
             preempt_rejected=rejected1,
             kappa=kappa,
             kappa_q=kappa_q,
@@ -433,11 +411,12 @@ class _Simulator:
         )
         self._assert_arrival_properties(j, dec, nu_before, m, now)
 
-    def _insert_pending(self, m: MachineState, j: JobSpec) -> None:
-        key = policy.queue_key(j, m.id)
+    def _insert_pending(self, m: MachineState, j: JobSpec, queue_key) -> None:
+        """Inserts j into m's queue, kept sorted by ``queue_key(job, machine)``."""
+        key = queue_key(j, m.id)
         idx = len(m.pending)
         for k, h in enumerate(m.pending):
-            if policy.queue_key(self.jobs[h], m.id) > key:
+            if queue_key(self.jobs[h], m.id) > key:
                 idx = k
                 break
         m.pending.insert(idx, j.id)

@@ -98,12 +98,6 @@ class Instance:
     def total_weight(self) -> Fraction:
         return sum((j.weight for j in self.jobs), Fraction(0))
 
-    def job(self, job_id: int) -> JobSpec:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
-
 
 def _sorted_jobs(jobs: list[JobSpec]) -> tuple[JobSpec, ...]:
     return tuple(sorted(jobs, key=lambda j: (j.release, j.id)))
@@ -160,10 +154,18 @@ def parse_instance(text: str | bytes) -> Instance:
             raise InstanceError(f"line {lineno}: 'p' must be an object")
         proc: dict[int, Fraction] = {}
         for key, raw in proc_raw.items():
-            if not (isinstance(key, str) and key.startswith("m") and key[1:].isdigit()):
+            # "m" plus a canonical decimal, so distinct keys are distinct
+            # machines ("m0" and "m00" would both be machine 0).
+            digits = key[1:]
+            if not (
+                key.startswith("m")
+                and digits.isascii()
+                and digits.isdigit()
+                and (digits == "0" or not digits.startswith("0"))
+            ):
                 raise InstanceError(f"line {lineno}: bad machine key {key!r}")
             try:
-                proc[int(key[1:])] = parse_rational(raw)
+                proc[int(digits)] = parse_rational(raw)
             except ValueError as exc:
                 raise InstanceError(f"line {lineno}: {exc}") from None
         jobs.append(JobSpec(id=job_id, release=release, weight=weight, proc=proc))
@@ -175,9 +177,20 @@ def parse_instance(text: str | bytes) -> Instance:
 
 def _load_json_line(line: str, lineno: int):
     try:
-        return json.loads(line)
+        return json.loads(line, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"line {lineno}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise InstanceError(f"line {lineno}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def serialize_instance(instance: Instance) -> str:

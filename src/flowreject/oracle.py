@@ -1,5 +1,8 @@
 """Ground-truth references: exhaustive optimum, naive baselines, lower bound.
 
+The baselines dispatch by least backlog, keep their own queue order and never
+reject; they run through the simulator's event loop (``engine``).
+
 The exhaustive search enumerates every machine assignment and every
 per-machine order, timing each order as-soon-as-possible (start at release or
 at the previous completion, whichever is later). ASAP within a fixed order is
@@ -20,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .engine import EventRecord, SimOutcome
+from .engine import EventRecord, MachineState, SimOutcome, _Simulator
 from .instance import Instance, JobSpec
+from .policy import queue_key
 
 __all__ = [
     "TooLarge",
@@ -34,7 +38,12 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-BASELINE_POLICIES = ("hdf-no-reject", "fcfs")
+# Queue order of each baseline, as a key over (job, machine).
+_QUEUE_KEYS = {
+    "hdf-no-reject": queue_key,
+    "fcfs": lambda job, machine: (job.release, job.id),
+}
+BASELINE_POLICIES = tuple(_QUEUE_KEYS)
 
 
 class TooLarge(ValueError):
@@ -133,93 +142,34 @@ def lower_bound_trivial(instance: Instance) -> Fraction:
     )
 
 
+class _Baseline(_Simulator):
+    """The simulator's event loop with a no-rejection arrival step."""
+
+    def __init__(self, instance: Instance, key) -> None:
+        super().__init__(instance)
+        self.key = key
+
+    def _backlog(self, m: MachineState, now: Fraction) -> Fraction:
+        total = sum((self.jobs[h].proc[m.id] for h in m.pending), _ZERO)
+        return total if m.running is None else total + m.remaining(now, self.jobs)
+
+    def _arrive(self, j: JobSpec, now: Fraction) -> None:
+        m = min(self.machines, key=lambda s: (self._backlog(s, now) + j.proc[s.id], s.id))
+        self.out.machine_of[j.id] = m.id
+        self.out.events.append(EventRecord(now, "arrival", job=j.id, machine=m.id))
+        self._insert_pending(m, j, self.key)
+
+
 def baseline(instance: Instance, policy: str) -> SimOutcome:
     """Online comparison run with rejection disabled.
 
     Dispatch goes to the machine minimizing current backlog plus the job's
     own processing time (ties to the lowest machine id). The queue order is
     the policy's: highest density first, or first-come-first-served; ties
-    break by release then id. Event order within a timestamp matches the
-    main simulator: completions, then arrivals by id, then starts.
+    break by release then id. The run uses the main simulator's event loop,
+    so event order within a timestamp is the same: completions, then
+    arrivals by id, then starts.
     """
-    if policy not in BASELINE_POLICIES:
+    if policy not in _QUEUE_KEYS:
         raise ValueError(f"unknown baseline policy {policy!r}")
-    jobs = {j.id: j for j in instance.jobs}
-    out = SimOutcome(instance=instance)
-    out.w_traj = [[(_ZERO, _ZERO)] for _ in range(instance.machines)]
-    out.r1_events = [[] for _ in range(instance.machines)]
-    out.r2_events = [[] for _ in range(instance.machines)]
-    out.snapshots = [[] for _ in range(instance.machines)]
-
-    if policy == "hdf-no-reject":
-        def queue_key(job_id: int, machine: int):
-            job = jobs[job_id]
-            return (-job.density(machine), job.release, job.id)
-    else:
-        def queue_key(job_id: int, machine: int):
-            job = jobs[job_id]
-            return (job.release, job.id)
-
-    running: list[int | None] = [None] * instance.machines
-    run_start: list[Fraction | None] = [None] * instance.machines
-    pending: list[list[int]] = [[] for _ in range(instance.machines)]
-    for j in instance.jobs:
-        out.S[j.id] = None
-        out.C[j.id] = None
-        out.reject_cause[j.id] = None
-        out.reject_trigger[j.id] = None
-
-    def backlog(machine: int, now: Fraction) -> Fraction:
-        total = _ZERO
-        if running[machine] is not None:
-            total += jobs[running[machine]].proc[machine] - (now - run_start[machine])
-        for h in pending[machine]:
-            total += jobs[h].proc[machine]
-        return total
-
-    cursor = 0
-    order = list(instance.jobs)
-    while True:
-        next_arrival = order[cursor].release if cursor < len(order) else None
-        completions = [
-            run_start[i] + jobs[running[i]].proc[i]
-            for i in range(instance.machines)
-            if running[i] is not None
-        ]
-        next_completion = min(completions) if completions else None
-        if next_arrival is None and next_completion is None:
-            break
-        now = min(t for t in (next_arrival, next_completion) if t is not None)
-        for i in range(instance.machines):
-            if running[i] is not None and run_start[i] + jobs[running[i]].proc[i] == now:
-                done = running[i]
-                out.events.append(EventRecord(now, "complete", job=done, machine=i))
-                out.C[done] = now
-                out.L[done] = now
-                running[i] = None
-                run_start[i] = None
-        while cursor < len(order) and order[cursor].release == now:
-            j = order[cursor]
-            cursor += 1
-            chosen = min(
-                range(instance.machines),
-                key=lambda i: (backlog(i, now) + j.proc[i], i),
-            )
-            out.machine_of[j.id] = chosen
-            out.events.append(EventRecord(now, "arrival", job=j.id, machine=chosen))
-            pending[chosen].append(j.id)
-            pending[chosen].sort(key=lambda h: queue_key(h, chosen))
-        for i in range(instance.machines):
-            if running[i] is None and pending[i]:
-                job_id = pending[i].pop(0)
-                running[i] = job_id
-                run_start[i] = now
-                out.events.append(EventRecord(now, "start", job=job_id, machine=i))
-                out.S[job_id] = now
-
-    out.total_weight = instance.total_weight
-    for j in instance.jobs:
-        c = out.C[j.id]
-        assert c is not None
-        out.weighted_flow_completed += j.weight * (c - j.release)
-    return out
+    return _Baseline(instance, _QUEUE_KEYS[policy]).run()

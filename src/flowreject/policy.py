@@ -29,7 +29,6 @@ __all__ = [
     "weight_gap_reject",
     "compute_rho",
     "compute_alpha_ij",
-    "compute_delta_ij",
     "dispatch",
     "BRANCHES",
 ]
@@ -79,8 +78,6 @@ class WeightGapDecision:
     branch: str
     counter_updates: dict[int, Fraction] = field(default_factory=dict)
     v_order: tuple[int, ...] = ()
-    s_index: int | None = None
-    j_position: int = -1
 
 
 def apply_preempt_rule(
@@ -215,8 +212,6 @@ def weight_gap_reject(
         branch=branch,
         counter_updates=updates,
         v_order=tuple(job.id for job in joined),
-        s_index=s,
-        j_position=j_pos,
     )
 
 
@@ -301,42 +296,6 @@ def compute_alpha_ij(
         rejected_w = sum((jobs[h].weight for h in dec.rejected), Fraction(0))
         rebate = p * rejected_w + epsilon * epsilon * w_prime * p
     return main - rebate
-
-
-def compute_delta_ij(
-    snapshot: "MachineState",
-    j: JobSpec,
-    jobs: Mapping[int, JobSpec],
-    rejected_kappa: tuple[int, Fraction] | None = None,
-) -> Fraction:
-    """Approximate flow-time increase if ``j`` runs here; diagnostic only.
-
-    Evaluated on the post-rules snapshot at the arrival time. The queue sums
-    exclude ``j`` itself. If the previously running job was just rejected by
-    the preempt rule, pass its id and remaining work as ``rejected_kappa``;
-    that enables the negative correction term. Dispatch never uses this value.
-    """
-    machine = snapshot.id
-    w = j.weight
-    p = j.proc[machine]
-    d_j = density(j, machine)
-    queue = [jobs[h] for h in snapshot.pending if h != j.id]
-
-    delta = Fraction(0)
-    for job in queue:
-        if density(job, machine) >= d_j:
-            delta += w * job.proc[machine]
-        else:
-            delta += p * job.weight
-    if rejected_kappa is not None:
-        _, q = rejected_kappa
-        others = sum((job.weight for job in queue), Fraction(0))
-        if snapshot.running is not None:
-            others += jobs[snapshot.running].weight
-        delta -= q * others
-    elif snapshot.running is not None:
-        delta += w * snapshot.remaining(j.release, jobs)
-    return delta
 
 
 def dispatch(

@@ -15,15 +15,13 @@ __all__ = ["Rational", "parse_rational", "format_rational", "decimal_str"]
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an int, an integer string, or a "num/den" string exactly.
 
-    Raises ValueError for malformed input, a zero denominator, or a float
-    (floats are rejected so inexact values can never sneak in).
+    Integers are an optional sign and ASCII digits only. Raises ValueError
+    for malformed input, a zero denominator, or a float (floats are rejected
+    so inexact values can never sneak in).
     """
     if isinstance(value, Fraction):
         return value
@@ -32,21 +30,17 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num_text, _, den_text = text.partition("/")
-            try:
-                num = int(num_text)
-                den = int(den_text)
-            except ValueError:
-                raise ValueError(f"not a rational: {value!r}") from None
-            if den == 0:
-                raise ValueError(f"zero denominator: {value!r}")
-            return Fraction(num, den)
-        try:
-            return Fraction(int(text))
-        except ValueError:
-            raise ValueError(f"not a rational: {value!r}") from None
+        num_text, slash, den_text = value.strip().partition("/")
+        parts = (num_text, den_text) if slash else (num_text,)
+        for part in parts:
+            digits = part[1:] if part[:1] in ("+", "-") else part
+            # int() would also take "1_0" and non-ASCII digits.
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"not a rational: {value!r}")
+        den = int(den_text) if slash else 1
+        if den == 0:
+            raise ValueError(f"zero denominator: {value!r}")
+        return Fraction(int(num_text), den)
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -194,6 +194,31 @@ def test_monotonicity_prefix_replay(e1_instance):
         assert check_monotonicity(generate(spec)).passed
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: _preempt_wasted in analysis.definitive_completion counts "
+    "preempt rejections in (r_j, L_j] and so drops one made at t = r_j by a later "
+    "same-time arrival (margin 14/9 here). Counting those too fixes this case but "
+    "moves recorded alpha_lower_bound/theorem_chain margins of the benchmark "
+    "workloads, so the fix waits for a change that re-records perfbench/expected.json.",
+)
+def test_monotonicity_same_time_preempt_rejection():
+    # Mean interarrival 1 gives same-time arrivals, which the sweep above
+    # (mean interarrival 3) rarely produces.
+    spec = WorkloadSpec(
+        n=6,
+        m=1,
+        p_min=Fraction(1),
+        p_max=Fraction(10),
+        w_min=Fraction(1),
+        w_max=Fraction(10),
+        mean_interarrival=1,
+        seed=2,
+        epsilon=Fraction(1, 2),
+    )
+    assert check_monotonicity(generate(spec)).passed
+
+
 def test_repeated_run_byte_identical(capsys):
     path = str(FIXTURES / "e1_instance.jsonl")
     code1 = main(["run", path])

@@ -121,7 +121,7 @@ def test_completion_estimate_completed_with_foreign_waste():
     ])
     out = simulate(inst)
     assert out.C[1] == 13
-    assert out.q_at_reject[0] == 2
+    assert out.r1_events[0] == [(3, 0, Fraction(2))]
     assert definitive_completion(out, 1) == 15
     # The rejection sits at job 3's own release, outside its half-open
     # window, so job 3 gets no waste term.

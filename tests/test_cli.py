@@ -338,6 +338,24 @@ class TestConfig:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--count", "1", "--n", "-1"],
+            ["sweep", "--count", "1", "--epsilons", "2"],
+            ["sweep", "--count", "1", "--p-range", "5:1"],
+            ["gen", "--config", "{tmp}/seed.cfg"],
+            ["run", E1, "--out", "{tmp}/missing/x.json"],
+        ],
+    )
+    def test_bad_usage_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
+        (tmp_path / "seed.cfg").write_text("seed = abc\n")
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

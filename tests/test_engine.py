@@ -7,13 +7,10 @@ from hypothesis import given, settings, strategies as st
 from flowreject import (
     BadPrefix,
     JobSpec,
-    MachineState,
     WorkloadSpec,
     event_to_json,
     generate,
     make_instance,
-    next_job_hdf,
-    queue_key,
     replay_prefix,
     serialize_event_log,
     simulate,
@@ -58,7 +55,7 @@ def test_preempt_rule_fires_at_accumulated_weight():
     assert out.reject_cause[0] == "preempt"
     assert out.reject_trigger[0] == 4
     assert out.L[0] == 4
-    assert out.q_at_reject[0] == 6
+    assert out.r1_events[0] == [(4, 0, Fraction(6))]
     rejects = [e for e in out.events if e.kind == "reject_preempt"]
     assert len(rejects) == 1
     assert (rejects[0].time, rejects[0].job, rejects[0].q) == (4, 0, Fraction(6))
@@ -77,12 +74,12 @@ def test_e1_trace_details(e1_outcome):
         3: "no-s/p-large",
     }
     assert out.alpha == {1: Fraction(326, 3), 2: Fraction(82, 3), 3: Fraction(163, 6)}
-    assert out.alpha_all == {1: (Fraction(326),), 2: (Fraction(82),),
-                             3: (Fraction(163, 2),)}
+    assert {e.job: e.alpha_all for e in out.events if e.kind == "arrival"} == {
+        1: (Fraction(326),), 2: (Fraction(82),), 3: (Fraction(163, 2),)}
     assert [info.w_after for info in map(out.arrivals.get, (1, 2, 3))] == [2, 0, 2]
     assert out.reject_cause == {1: "preempt", 2: "weight_gap", 3: None}
     assert out.reject_trigger[2] == 2
-    assert out.q_at_reject[1] == 2
+    assert [(e.job, e.q) for e in out.events if e.kind == "reject_preempt"] == [(1, 2)]
     assert out.weighted_flow_completed == 2
     assert out.rejected_weight_preempt == 2
     assert out.rejected_weight_weight_gap == 2
@@ -110,22 +107,6 @@ def test_replay_prefix_rejects_bad_k(e1_instance):
 def test_replay_prefix_simulates_only_first_k(e1_instance):
     two = replay_prefix(e1_instance, 2)
     assert set(two.arrivals) == {1, 2}
-
-
-def test_next_job_hdf():
-    a = JobSpec(id=1, release=Fraction(1), weight=Fraction(4), proc={0: Fraction(2)})
-    b = JobSpec(id=2, release=Fraction(0), weight=Fraction(2), proc={0: Fraction(2)})
-    pend = sorted([a, b], key=lambda x: queue_key(x, 0))
-    state = MachineState(id=0, pending=[x.id for x in pend])
-    assert next_job_hdf(state) == 1  # density 2 beats density 1
-
-    c = JobSpec(id=4, release=Fraction(1), weight=Fraction(4), proc={0: Fraction(2)})
-    d = JobSpec(id=2, release=Fraction(1), weight=Fraction(4), proc={0: Fraction(2)})
-    pend = sorted([c, d], key=lambda x: queue_key(x, 0))
-    state = MachineState(id=0, pending=[x.id for x in pend])
-    assert next_job_hdf(state) == 2  # full tie broken by id
-
-    assert next_job_hdf(MachineState(id=0)) is None
 
 
 def test_event_json_round_trip_values(e1_outcome):

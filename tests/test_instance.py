@@ -98,6 +98,22 @@ def test_parse_nonpositive_values():
         parse_instance(base + '{"id":0,"r":-1,"w":1,"p":{"m0":1}}\n')
 
 
+@pytest.mark.parametrize(
+    "job_line",
+    [
+        '{"id":0,"r":"1_0","w":1,"p":{"m0":1}}',
+        '{"id":0,"r":0,"w":"\u0661","p":{"m0":1}}',
+        '{"id":0,"r":0,"w":1,"p":{"m0":1,"m00":2}}',
+        '{"id":0,"r":0,"w":1,"p":{"m00":1}}',
+        '{"id":0,"r":0,"w":1,"p":{"m0":1,"m0":2}}',
+        '{"id":0,"id":1,"r":0,"w":1,"p":{"m0":1}}',
+    ],
+)
+def test_parse_rejects_noncanonical_input(job_line):
+    with pytest.raises(InstanceError):
+        parse_instance('{"machines":1,"epsilon":"1/2"}\n' + job_line + "\n")
+
+
 def test_parse_bad_epsilon():
     with pytest.raises(BadEpsilon):
         parse_instance('{"machines":1,"epsilon":1}\n')
@@ -147,9 +163,6 @@ def test_digest_stable_and_content_sensitive():
     assert instance_digest(a) != instance_digest(c)
 
 
-def test_total_weight_and_job_lookup():
+def test_total_weight():
     inst = parse_instance(VALID_TEXT)
     assert inst.total_weight == Fraction(15, 2)
-    assert inst.job(1).weight == Fraction(1, 2)
-    with pytest.raises(KeyError):
-        inst.job(99)

@@ -11,7 +11,6 @@ from flowreject import (
     RhoUndefined,
     apply_preempt_rule,
     compute_alpha_ij,
-    compute_delta_ij,
     compute_rho,
     dispatch,
     queue_key,
@@ -188,30 +187,6 @@ def test_alpha_leaves_snapshot_untouched():
     j = job(2, w=1, p=2)
     compute_alpha_ij(state, j, jobs_by_id(a, j), HALF)
     assert state == before
-
-
-def test_delta_empty_machine():
-    j = job(1, w=2, p=2)
-    assert compute_delta_ij(MachineState(id=0), j, jobs_by_id(j)) == 0
-
-
-def test_delta_higher_density_queue_job():
-    a = job(1, w=9, p=3)  # density 3, above j's
-    j = job(2, w=2, p=2)
-    state = MachineState(id=0, pending=[1, 2])
-    assert compute_delta_ij(state, j, jobs_by_id(a, j)) == 6
-
-
-def test_delta_after_preempt_rejection_subtracts_wasted_work():
-    # Two queue jobs of total weight 5; the rejected job had 4 units left.
-    a = job(1, w=2, p=1)
-    b = job(3, w=3, p=1)
-    j = job(2, w=2, p=2)
-    state = MachineState(id=0, pending=[1, 3, 2])
-    jobs = jobs_by_id(a, b, j)
-    plain = compute_delta_ij(state, j, jobs)
-    corrected = compute_delta_ij(state, j, jobs, rejected_kappa=(9, Fraction(4)))
-    assert corrected == plain - 20
 
 
 def test_dispatch_single_machine():

@@ -20,7 +20,10 @@ def test_parse_fraction_passthrough():
     assert parse_rational(Fraction(3, 4)) == Fraction(3, 4)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.5", "1/2/3", None, 1.5, True])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "1/0", "a/b", "1.5", "1/2/3", None, 1.5, True, "1_0", "1/2_0", "\u0661\u0662", "\u00b2"],
+)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -267,17 +267,17 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        eps_list = [parse_rational(tok) for tok in args.epsilons.split(",") if tok]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if not eps_list or args.count < 1:
-        raise CliError("need at least one epsilon and --count >= 1")
     base = _workload_from(args)
     try:
-        specs = [replace(base, epsilon=eps) for eps in eps_list]
+        specs = [
+            replace(base, epsilon=parse_rational(tok))
+            for tok in args.epsilons.split(",")
+            if tok
+        ]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if not specs or args.count < 1:
+        raise CliError("need at least one epsilon and --count >= 1")
     rows = []
     all_passed = True
     for eps_spec in specs:

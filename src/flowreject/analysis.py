@@ -70,23 +70,34 @@ class PiecewiseLinear:
     Built from (start, end, slope, intercept) pieces, each contributing
     slope*t + intercept on [start, end). Evaluation is right-continuous;
     ``value_left`` gives the limit from below. Zero outside all pieces.
+
+    Construction is one sweep: each piece adds its slope and intercept at
+    its start and subtracts them at its end, and prefix sums over the sorted
+    endpoints give every segment's coefficients. For P pieces that costs
+    O(P log P); evaluation is a bisection, O(log P).
     """
 
     __slots__ = ("breakpoints", "_slopes", "_intercepts")
 
     def __init__(self, pieces: Iterable[tuple[Fraction, Fraction, Fraction, Fraction]]):
-        pieces = [p for p in pieces if p[0] < p[1]]
-        points = sorted({p[0] for p in pieces} | {p[1] for p in pieces})
+        deltas: dict[Fraction, list[Fraction]] = {}
+        for start, end, m, c in pieces:
+            if start < end:
+                d = deltas.setdefault(start, [_ZERO, _ZERO])
+                d[0] += m
+                d[1] += c
+                d = deltas.setdefault(end, [_ZERO, _ZERO])
+                d[0] -= m
+                d[1] -= c
+        points = sorted(deltas)
         self.breakpoints: list[Fraction] = points
         self._slopes: list[Fraction] = []
         self._intercepts: list[Fraction] = []
-        for a, b in zip(points, points[1:]):
-            slope = _ZERO
-            intercept = _ZERO
-            for start, end, m, c in pieces:
-                if start <= a and b <= end:
-                    slope += m
-                    intercept += c
+        slope = intercept = _ZERO
+        for a in points[:-1]:
+            dm, dc = deltas[a]
+            slope += dm
+            intercept += dc
             self._slopes.append(slope)
             self._intercepts.append(intercept)
 
@@ -287,6 +298,11 @@ def check_dual_feasibility(cert: DualCertificate, outcome: SimOutcome) -> CheckR
     price curve's breakpoints, so those points, their left limits, and one
     interpolation-checked midpoint per segment decide all t. Once the right
     side alone dominates alpha_j/p_ij the remaining tail passes for free.
+
+    The walk starts at r_j and then visits the breakpoints after r_j by
+    index from a bisection, stopping at the cutoff. A pair therefore costs
+    O(log B + k) for B breakpoints and k points visited before the cutoff,
+    usually one or two.
     """
     worst = _Worst()
     for job in outcome.instance.jobs:
@@ -303,9 +319,11 @@ def check_dual_feasibility(cert: DualCertificate, outcome: SimOutcome) -> CheckR
 
             # Beyond this point the constraint holds even with zero price.
             cutoff = r + cert.alpha[job.id] / w - 21 * p
-            grid = [r] + [b for b in beta.breakpoints if b > r]
+            points = beta.breakpoints
+            k = bisect_right(points, r)
             prev: Fraction | None = None
-            for t in grid:
+            t = r
+            while True:
                 if prev is not None:
                     worst.offer(lhs_minus_rhs(t, left=True), (i, t, job.id))
                     mid = (prev + t) / 2
@@ -315,9 +333,10 @@ def check_dual_feasibility(cert: DualCertificate, outcome: SimOutcome) -> CheckR
                             f"price curve not linear on [{prev}, {t}) for machine {i}"
                         )
                 worst.offer(lhs_minus_rhs(t), (i, t, job.id))
-                if t >= cutoff:
+                if t >= cutoff or k == len(points):
                     break
-                prev = t
+                prev, t = t, points[k]
+                k += 1
     return worst.report("dual_feasibility")
 
 
@@ -333,30 +352,42 @@ def _wf_of(outcome: SimOutcome, cert: DualCertificate, h: int, i: int, t: Fracti
 def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckReport:
     """Queued fractional weight beyond the budget, plus the running job's
     density-scaled remainder, must stay within 1/eps times the fractional
-    weight of already-rejected jobs still in the accounting."""
+    weight of already-rejected jobs still in the accounting.
+
+    The grid is the event times and the price curve's breakpoints. The
+    rejected jobs, sorted by release, enter an active set once released and
+    leave it at their completion estimate. A segment therefore costs a
+    snapshot lookup plus the size of its queue and its active set, not a
+    rescan of every rejected job: O(G log G) per machine for G grid points
+    while queues stay short.
+    """
     eps = outcome.instance.epsilon
     jobs = outcome.jobs
     worst = _Worst()
     event_times = outcome.event_times()
     for i in range(outcome.instance.machines):
-        rejected_here = [
-            h
-            for h in jobs
-            if outcome.reject_cause[h] == "weight_gap" and outcome.machine_of[h] == i
-        ]
+        rejected_here = sorted(
+            (
+                h
+                for h in jobs
+                if outcome.reject_cause[h] == "weight_gap" and outcome.machine_of[h] == i
+            ),
+            key=lambda h: jobs[h].release,
+        )
         grid = sorted(set(event_times) | set(cert.beta[i].breakpoints))
         if not grid:
             continue
         grid.append(grid[-1] + 1)
+        members_r: list[int] = []
+        released = 0
         for a, b in zip(grid, grid[1:]):
             snap = outcome.state_at(i, a)
             run_job = jobs[snap.running] if snap.running is not None else None
             members_v = list(snap.pending)
-            members_r = [
-                h
-                for h in rejected_here
-                if jobs[h].release <= a and a < cert.ctilde[h]
-            ]
+            while released < len(rejected_here) and jobs[rejected_here[released]].release <= a:
+                members_r.append(rejected_here[released])
+                released += 1
+            members_r = [h for h in members_r if a < cert.ctilde[h]]
 
             def value(t: Fraction) -> Fraction:
                 total = -snap.W
@@ -387,6 +418,13 @@ def check_weight_balance(outcome: SimOutcome) -> CheckReport:
     The debit side charges the budget held at each surviving arrival; the
     credit side collects rejected work, departed work, the live budget
     against the queue tail, and a 1/eps mass of everything dispatched.
+
+    Every per-job term switches on once and stays: the debits d1, d2 and
+    the 1/eps mass b3 at the job's release, the departed work b1 or b2 once
+    it has also left (L). The ledger is therefore one sweep over the event
+    times through the jobs' steps sorted by time, plus the live-budget term
+    read off the snapshot: O((n + T) log(n + T)) per machine for n
+    dispatched jobs and T event times, not O(n T).
     """
     eps = outcome.instance.epsilon
     jobs = outcome.jobs
@@ -394,39 +432,41 @@ def check_weight_balance(outcome: SimOutcome) -> CheckReport:
     times = outcome.event_times()
     for i in range(outcome.instance.machines):
         dispatched = [j for j in outcome.instance.jobs if outcome.machine_of.get(j.id) == i]
+        steps: list[tuple[Fraction, Fraction]] = []
+        for job in dispatched:
+            info = outcome.arrivals[job.id]
+            p_ij = job.proc[i]
+            d1 = d2 = _ZERO
+            if job.id not in info.r2:
+                d1 += eps * eps * info.w_after * p_ij
+                if (
+                    info.nu_before is not None
+                    and info.nu_after == job.id
+                    and p_ij < eps * jobs[info.nu_before].proc[i]
+                ):
+                    d1 -= job.weight * jobs[info.nu_before].proc[i]
+            elif len(info.r2) == 1:
+                if info.nu_after is not None:
+                    d2 += job.weight * jobs[info.nu_after].proc[i]
+            elif info.nu_before is not None:
+                d2 += jobs[info.nu_before].weight * jobs[info.nu_before].proc[i]
+            b3 = job.weight * p_ij / eps
+            steps.append((job.release, d1 - d2 - b3))
+            # Departed work: b1 if weight-gap rejected, else b2 (completion or
+            # mid-run rejection). It counts once the job is released and gone.
+            steps.append((max(job.release, outcome.L[job.id]), -job.weight * p_ij))
+        steps.sort(key=lambda step: step[0])
+        ledger = _ZERO
+        done = 0
         for t in times:
-            d1 = d2 = b1 = b2 = b3 = _ZERO
-            for job in dispatched:
-                if job.release > t:
-                    continue
-                info = outcome.arrivals[job.id]
-                p_ij = job.proc[i]
-                own_reject = job.id in info.r2
-                if not own_reject:
-                    d1 += eps * eps * info.w_after * p_ij
-                    if (
-                        info.nu_before is not None
-                        and info.nu_after == job.id
-                        and p_ij < eps * jobs[info.nu_before].proc[i]
-                    ):
-                        d1 -= job.weight * jobs[info.nu_before].proc[i]
-                else:
-                    if len(info.r2) == 1:
-                        if info.nu_after is not None:
-                            d2 += job.weight * jobs[info.nu_after].proc[i]
-                    elif info.nu_before is not None:
-                        d2 += jobs[info.nu_before].weight * jobs[info.nu_before].proc[i]
-                cause = outcome.reject_cause[job.id]
-                if cause == "weight_gap" and outcome.L[job.id] <= t:
-                    b1 += job.weight * p_ij
-                if cause != "weight_gap" and outcome.L[job.id] <= t:
-                    # Departed by completion or mid-run rejection.
-                    b2 += job.weight * p_ij
-                b3 += job.weight * p_ij / eps
+            while done < len(steps) and steps[done][0] <= t:
+                ledger += steps[done][1]
+                done += 1
             snap = outcome.state_at(i, t)
+            margin = ledger
             if snap.pending:
-                b2 += eps * snap.W * jobs[snap.pending[-1]].proc[i]
-            worst.offer(d1 - d2 - (b1 + b2 + b3), (i, t, None))
+                margin -= eps * snap.W * jobs[snap.pending[-1]].proc[i]
+            worst.offer(margin, (i, t, None))
         end_lhs = sum(
             (
                 eps * eps * outcome.arrivals[j.id].w_after * j.proc[i]
@@ -581,11 +621,16 @@ def check_monotonicity(instance: Instance) -> CheckReport:
 
 
 def run_all_checks(
-    cert: DualCertificate, outcome: SimOutcome, with_monotonicity: bool = False
+    cert: DualCertificate,
+    outcome: SimOutcome,
+    objs: Objectives | None = None,
+    with_monotonicity: bool = False,
 ) -> list[CheckReport]:
     """All trace-level checks in report order; monotonicity is opt-in
-    because it replays every prefix."""
-    objs = objectives(cert, outcome)
+    because it replays every prefix. ``objs`` are the run's objectives if
+    the caller has them already; otherwise they are computed here."""
+    if objs is None:
+        objs = objectives(cert, outcome)
     reports = [
         check_structural_properties(outcome),
         check_dual_feasibility(cert, outcome),

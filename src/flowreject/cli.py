@@ -33,7 +33,7 @@ from .engine import simulate
 from .generate import WorkloadSpec, generate
 from .instance import Instance, InstanceError, instance_digest, parse_instance, serialize_instance
 from .oracle import BASELINE_POLICIES, TooLarge, baseline, brute_force_opt, lower_bound_trivial
-from .rational import decimal_str, format_rational, parse_rational
+from .rational import decimal_str, format_rational, parse_integer, parse_rational
 
 __all__ = ["main"]
 
@@ -98,7 +98,7 @@ def build_report(
     outcome = simulate(instance)
     cert = build_certificate(outcome)
     objs = objectives(cert, outcome)
-    checks = run_all_checks(cert, outcome)
+    checks = run_all_checks(cert, outcome, objs)
     if with_monotonicity:
         checks.append(check_monotonicity(instance))
 
@@ -189,7 +189,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _read_instance(path: str) -> Instance:
     try:
-        return parse_instance(Path(path).read_text())
+        return parse_instance(Path(path).read_bytes())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except InstanceError as exc:
@@ -211,7 +211,7 @@ def _override_epsilon(instance: Instance, epsilon: str | None) -> Instance:
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, _, hi = text.partition(":")
-        return int(lo), int(hi)
+        return parse_integer(lo), parse_integer(hi)
     except ValueError as exc:
         raise CliError(f"bad range {text!r}, expected LO:HI") from exc
 
@@ -337,8 +337,8 @@ def _load_config(path: str | None) -> dict[str, str]:
         return {}
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -365,7 +365,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         if key in config:
             raw = config[key]
             try:
-                setattr(args, key, int(raw) if key in _INT_KEYS else raw)
+                setattr(args, key, parse_integer(raw) if key in _INT_KEYS else raw)
             except ValueError:
                 raise CliError(f"config key {key}: expected an integer, got {raw!r}") from None
         elif key == "epsilon" and hasattr(args, "instance"):

@@ -113,7 +113,10 @@ def make_instance(machines: int, jobs: list[JobSpec], epsilon: Fraction) -> Inst
 def parse_instance(text: str | bytes) -> Instance:
     """Parse the JSON-Lines instance format; returns a validated Instance."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"not UTF-8: {exc}") from None
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise InstanceError("empty instance file")

@@ -11,9 +11,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Rational", "parse_rational", "format_rational", "decimal_str"]
+__all__ = ["Rational", "parse_integer", "parse_rational", "format_rational", "decimal_str"]
 
 Rational = Fraction
+
+
+def parse_integer(text: str) -> int:
+    """Parse an optional sign and ASCII digits exactly.
+
+    Raises ValueError otherwise; int() would also take "1_0", non-ASCII
+    digits and surrounding blanks.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -31,16 +43,14 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         num_text, slash, den_text = value.strip().partition("/")
-        parts = (num_text, den_text) if slash else (num_text,)
-        for part in parts:
-            digits = part[1:] if part[:1] in ("+", "-") else part
-            # int() would also take "1_0" and non-ASCII digits.
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(f"not a rational: {value!r}")
-        den = int(den_text) if slash else 1
+        try:
+            num = parse_integer(num_text)
+            den = parse_integer(den_text) if slash else 1
+        except ValueError:
+            raise ValueError(f"not a rational: {value!r}") from None
         if den == 0:
             raise ValueError(f"zero denominator: {value!r}")
-        return Fraction(int(num_text), den)
+        return Fraction(num, den)
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -174,7 +174,7 @@ class TestRunVerify:
     def test_failing_check_sets_exit_code(self, capsys, monkeypatch):
         import flowreject.cli as cli
 
-        def forced_failure(cert, outcome):
+        def forced_failure(cert, outcome, objs):
             return [
                 CheckReport(
                     name="forced",
@@ -346,10 +346,20 @@ class TestUsage:
             ["sweep", "--count", "1", "--p-range", "5:1"],
             ["gen", "--config", "{tmp}/seed.cfg"],
             ["run", E1, "--out", "{tmp}/missing/x.json"],
+            ["gen", "--config", "{tmp}/underscore.cfg"],
+            ["gen", "--config", "{tmp}/arabic.cfg"],
+            ["gen", "--config", "{tmp}/utf16.cfg"],
+            ["gen", "--p-range", "1_0:20"],
+            ["run", "{tmp}/utf16.jsonl"],
         ],
     )
     def test_bad_usage_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
         (tmp_path / "seed.cfg").write_text("seed = abc\n")
+        (tmp_path / "underscore.cfg").write_text("n = 1_0\n")
+        (tmp_path / "arabic.cfg").write_text("seed = \u0661\n", encoding="utf-8")
+        # A UTF-16 byte-order mark is not valid UTF-8.
+        (tmp_path / "utf16.cfg").write_bytes(b"\xff\xfes\x00")
+        (tmp_path / "utf16.jsonl").write_bytes(b"\xff\xfe" + SINGLETON_TEXT.encode("utf-16-le"))
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == EXIT_USAGE
         assert out == ""

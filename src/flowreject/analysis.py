@@ -27,8 +27,6 @@ from .instance import Instance
 from .policy import ZERO_BUDGET_BRANCHES, compute_rho
 
 __all__ = [
-    "UnknownJob",
-    "OutOfSupport",
     "GridRequired",
     "PiecewiseLinear",
     "CheckReport",
@@ -50,14 +48,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-
-
-class UnknownJob(KeyError):
-    pass
-
-
-class OutOfSupport(ValueError):
-    pass
 
 
 class GridRequired(ValueError):
@@ -156,16 +146,12 @@ class Objectives:
 
 
 def fractional_weight(
-    j: int,
-    t: Fraction,
-    ctilde: Fraction,
-    p_ij: Fraction,
-    w_j: Fraction,
-    r_j: Fraction,
+    t: Fraction, ctilde: Fraction, p_ij: Fraction, w_j: Fraction, r_j: Fraction
 ) -> Fraction:
-    """Weight plateau then linear ramp to zero over the last p_ij of support."""
+    """Weight plateau then linear ramp to zero over the last p_ij of the
+    support [r_j, ctilde); zero outside it."""
     if not r_j <= t < ctilde:
-        raise OutOfSupport(f"job {j}: t={t} outside [{r_j}, {ctilde})")
+        return _ZERO
     if t <= ctilde - p_ij:
         return w_j
     return w_j * (ctilde - t) / p_ij
@@ -182,8 +168,6 @@ def definitive_completion(outcome: SimOutcome, j: int) -> Fraction:
     job had it stayed.
     """
     jobs = outcome.jobs
-    if j not in jobs:
-        raise UnknownJob(j)
     job = jobs[j]
     cause = outcome.reject_cause[j]
     L = outcome.L[j]
@@ -343,10 +327,7 @@ def check_dual_feasibility(cert: DualCertificate, outcome: SimOutcome) -> CheckR
 def _wf_of(outcome: SimOutcome, cert: DualCertificate, h: int, i: int, t: Fraction) -> Fraction:
     """Fractional weight of job h on machine i at t, zero outside its support."""
     job = outcome.jobs[h]
-    ct = cert.ctilde[h]
-    if t < job.release or t >= ct:
-        return _ZERO
-    return fractional_weight(h, t, ct, job.proc[i], job.weight, job.release)
+    return fractional_weight(t, cert.ctilde[h], job.proc[i], job.weight, job.release)
 
 
 def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckReport:
@@ -546,21 +527,16 @@ def check_theorem_chain(
     return worst.report("theorem_chain")
 
 
-def objectives(
-    cert: DualCertificate, outcome: SimOutcome, include_primal: bool | None = None
-) -> Objectives:
+def objectives(cert: DualCertificate, outcome: SimOutcome) -> Objectives:
     """Objective values of the run: certified dual objective, slot-based
-    cost of the realized schedule (integer grid only), realized weighted
-    flow of completed jobs, and the estimate-weighted flow of all jobs."""
-    if include_primal is None:
-        include_primal = outcome.instance.integer_grid
-    elif include_primal and not outcome.instance.integer_grid:
-        raise GridRequired("slot cost needs integer releases and processing times")
+    cost of the realized schedule (integer grid only, else None), realized
+    weighted flow of completed jobs, and the estimate-weighted flow of all
+    jobs."""
     dual = sum(cert.alpha.values(), _ZERO) - sum(
         (b.integral() for b in cert.beta), _ZERO
     )
     primal: Fraction | None = None
-    if include_primal:
+    if outcome.instance.integer_grid:
         primal = _ZERO
         for job in outcome.instance.jobs:
             c = outcome.C[job.id]
@@ -621,17 +597,16 @@ def check_monotonicity(instance: Instance) -> CheckReport:
 
 
 def run_all_checks(
-    cert: DualCertificate,
-    outcome: SimOutcome,
-    objs: Objectives | None = None,
-    with_monotonicity: bool = False,
+    cert: DualCertificate, outcome: SimOutcome, objs: Objectives | None = None
 ) -> list[CheckReport]:
-    """All trace-level checks in report order; monotonicity is opt-in
-    because it replays every prefix. ``objs`` are the run's objectives if
-    the caller has them already; otherwise they are computed here."""
+    """All trace-level checks in report order. Monotonicity is not among
+    them: it replays every prefix of the instance, so callers that want it
+    call :func:`check_monotonicity` themselves. ``objs`` are the run's
+    objectives if the caller has them already; otherwise they are computed
+    here."""
     if objs is None:
         objs = objectives(cert, outcome)
-    reports = [
+    return [
         check_structural_properties(outcome),
         check_dual_feasibility(cert, outcome),
         check_main_inequality(cert, outcome),
@@ -639,6 +614,3 @@ def run_all_checks(
         check_alpha_lower_bound(cert, outcome),
         check_theorem_chain(cert, outcome, objs),
     ]
-    if with_monotonicity:
-        reports.append(check_monotonicity(outcome.instance))
-    return reports

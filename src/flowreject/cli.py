@@ -42,16 +42,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 _DEFAULTS = {
-    "n": 10,
-    "m": 2,
+    "n": "10",
+    "m": "2",
     "p_range": "1:10",
     "w_range": "1:10",
-    "mean_interarrival": 3,
-    "seed": 1,
+    "mean_interarrival": "3",
+    "seed": "1",
     "epsilon": "1/2",
     "epsilons": "1/2",
-    "count": 10,
-    "oracle_limit": 7,
+    "count": "10",
+    "oracle_limit": "7",
 }
 
 
@@ -90,7 +90,7 @@ def _check_to_json(report) -> dict:
 def build_report(
     instance: Instance,
     seed: int | None = None,
-    with_monotonicity: bool = False,
+    monotonicity: bool = False,
     with_oracle: bool = False,
     oracle_limit: int = 7,
 ) -> tuple[dict, bool]:
@@ -99,7 +99,7 @@ def build_report(
     cert = build_certificate(outcome)
     objs = objectives(cert, outcome)
     checks = run_all_checks(cert, outcome, objs)
-    if with_monotonicity:
+    if monotonicity:
         checks.append(check_monotonicity(instance))
 
     total_w = outcome.total_weight
@@ -249,7 +249,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _override_epsilon(_read_instance(args.instance), args.epsilon)
-    report, passed = build_report(instance, with_monotonicity=True)
+    report, passed = build_report(instance, monotonicity=True)
     _emit(report, args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -355,23 +355,24 @@ _INT_KEYS = {"n", "m", "mean_interarrival", "seed", "count", "oracle_limit"}
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Applies flag > config > default precedence to every known option."""
+    """Applies flag > config > default precedence to every known option and
+    parses the integer ones, from whichever source, with ``parse_integer``."""
     config = _load_config(getattr(args, "config", None))
     for key, default in _DEFAULTS.items():
         if not hasattr(args, key):
             continue
-        if getattr(args, key) is not None:
-            continue
-        if key in config:
-            raw = config[key]
-            try:
-                setattr(args, key, parse_integer(raw) if key in _INT_KEYS else raw)
-            except ValueError:
-                raise CliError(f"config key {key}: expected an integer, got {raw!r}") from None
-        elif key == "epsilon" and hasattr(args, "instance"):
-            pass  # no flag and no config entry: keep the instance file's value
-        else:
-            setattr(args, key, default)
+        raw = getattr(args, key)
+        source = "--" + key.replace("_", "-")
+        if raw is None and key in config:
+            raw, source = config[key], f"config key {key}"
+        if raw is None:
+            if key == "epsilon" and hasattr(args, "instance"):
+                continue  # no flag and no config entry: keep the instance file's value
+            raw = default
+        try:
+            setattr(args, key, parse_integer(raw) if key in _INT_KEYS else raw)
+        except ValueError:
+            raise CliError(f"{source}: expected an integer, got {raw!r}") from None
     return args
 
 
@@ -389,14 +390,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value config file")
 
     def workload(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, default=None, help="number of jobs")
-        p.add_argument("--m", type=int, default=None, help="number of machines")
+        p.add_argument("--n", default=None, help="number of jobs")
+        p.add_argument("--m", default=None, help="number of machines")
         p.add_argument("--p-range", dest="p_range", default=None, help="LO:HI processing times")
         p.add_argument("--w-range", dest="w_range", default=None, help="LO:HI weights")
-        p.add_argument(
-            "--mean-interarrival", dest="mean_interarrival", type=int, default=None
-        )
-        p.add_argument("--seed", type=int, default=None, help="64-bit generator seed")
+        p.add_argument("--mean-interarrival", dest="mean_interarrival", default=None)
+        p.add_argument("--seed", default=None, help="64-bit generator seed")
         p.add_argument("--epsilon", default=None, help="rational in (0,1), e.g. 1/2")
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
@@ -414,19 +413,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="instance file path")
         p.add_argument("--epsilon", default=None, help="override the file's epsilon")
         if extra:
-            p.add_argument(
-                "--oracle-limit", dest="oracle_limit", type=int, default=None
-            )
+            p.add_argument("--oracle-limit", dest="oracle_limit", default=None)
         p.set_defaults(func=func)
 
     p_sweep = sub.add_parser("sweep", help="generate and verify many instances")
     common(p_sweep)
     workload(p_sweep)
-    p_sweep.add_argument("--count", type=int, default=None, help="instances per epsilon")
+    p_sweep.add_argument("--count", default=None, help="instances per epsilon")
     p_sweep.add_argument(
         "--epsilons", default=None, help="comma-separated rationals, e.g. 1/4,1/2"
     )
-    p_sweep.add_argument("--oracle-limit", dest="oracle_limit", type=int, default=None)
+    p_sweep.add_argument("--oracle-limit", dest="oracle_limit", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -7,10 +7,11 @@ sees the state left by earlier same-time arrivals, and a job that starts at
 time t is invisible to arrivals at t. This makes "the job running just before
 the arrival" well defined.
 
-Each arrival is processed as: score every machine on a frozen clone, dispatch
-to the cheapest, charge the preempt-rule counter on the chosen machine, then
-run the weight-gap rule there. A started job runs to completion unless the
-preempt rule rejects it; its consumed time is then wasted.
+Each arrival is processed as: score every machine by reading its live state,
+dispatch to the cheapest, charge the preempt-rule counter on the chosen
+machine, then apply the weight-gap decision that scoring computed there. A
+started job runs to completion unless the preempt rule rejects it; its
+consumed time is then wasted.
 
 The simulator keeps an audit trail (the event log, per-arrival decision
 records, mid-run rejections per machine, end-of-timestamp queue snapshots) so
@@ -22,8 +23,10 @@ same loop with their own arrival step.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 from .instance import Instance, JobSpec
@@ -70,17 +73,6 @@ class MachineState:
     W: Fraction = Fraction(0)
     count1: dict[int, Fraction] = field(default_factory=dict)
     count2: dict[int, Fraction] = field(default_factory=dict)
-
-    def clone(self) -> MachineState:
-        return MachineState(
-            id=self.id,
-            running=self.running,
-            run_start=self.run_start,
-            pending=list(self.pending),
-            W=self.W,
-            count1=dict(self.count1),
-            count2=dict(self.count2),
-        )
 
     def remaining(self, t: Fraction, jobs: dict[int, JobSpec]) -> Fraction:
         """Remaining work of the running job at time t; raises if idle."""
@@ -133,7 +125,6 @@ class ArrivalInfo:
     nu_before: int | None
     nu_after: int | None
     r2: tuple[int, ...]
-    preempt_rejected: int | None
     kappa: int | None
     kappa_q: Fraction | None
     r1_here: bool
@@ -183,16 +174,8 @@ class SimOutcome:
     def state_at(self, machine: int, t: Fraction) -> Snapshot:
         """Machine state at time t, right-continuous across events."""
         snaps = self.snapshots[machine]
-        lo, hi = 0, len(snaps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if snaps[mid].time <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return _EMPTY_SNAPSHOT
-        return snaps[lo - 1]
+        idx = bisect_right(snaps, t, key=attrgetter("time"))
+        return snaps[idx - 1] if idx else _EMPTY_SNAPSHOT
 
     def event_times(self) -> list[Fraction]:
         out: list[Fraction] = []
@@ -323,8 +306,7 @@ class _Simulator:
         self.out.S[job_id] = now
 
     def _arrive(self, j: JobSpec, now: Fraction) -> None:
-        snaps = [m.clone() for m in self.machines]
-        chosen, alpha_j, alphas = policy.dispatch(snaps, j, self.jobs, self.eps)
+        chosen, alpha_j, alphas, dec = policy.dispatch(self.machines, j, self.jobs, self.eps)
         self.out.machine_of[j.id] = chosen
         self.out.alpha[j.id] = alpha_j
         self.out.events.append(
@@ -362,9 +344,8 @@ class _Simulator:
         kappa = m.running
         kappa_q = m.remaining(now, self.jobs) if m.running is not None else None
 
-        dec = policy.weight_gap_reject(
-            [self.jobs[h] for h in m.pending], m.W, m.count2, j, self.eps, m.id
-        )
+        # The preempt rule touched only the running job, which is never in
+        # the queue the decision read, so the decision still holds.
         m.count2.update(dec.counter_updates)
         m.W = dec.new_w
         rejected_set = set(dec.rejected)
@@ -403,7 +384,6 @@ class _Simulator:
             nu_before=nu_before,
             nu_after=m.pending[-1] if m.pending else None,
             r2=dec.rejected,
-            preempt_rejected=rejected1,
             kappa=kappa,
             kappa_q=kappa_q,
             r1_here=m.id in self._r1_this_stamp,

@@ -1,10 +1,9 @@
 """Rejection rules and dispatch computation.
 
-Everything here is a pure function over frozen machine snapshots, so the
-dispatcher can evaluate hypothetical outcomes on clones without mutating real
-state. The one deliberate exception is :func:`apply_preempt_rule`, which the
-simulator calls on live state and which increments the running job's arrival
-counter in place.
+Everything here is a pure function that only reads machine state, so the
+dispatcher scores hypothetical outcomes on the live machines without
+mutating them. The one deliberate exception is :func:`apply_preempt_rule`,
+which increments the running job's arrival counter in place.
 
 Queue order everywhere is: density descending, then release ascending, then id
 ascending. All comparisons are exact.
@@ -245,8 +244,9 @@ def compute_alpha_ij(
     j: JobSpec,
     jobs: Mapping[int, JobSpec],
     epsilon: Fraction,
-) -> Fraction:
-    """Dispatch score of job ``j`` on one machine, from a frozen snapshot.
+) -> tuple[Fraction, WeightGapDecision]:
+    """Dispatch score of job ``j`` on one machine, and the weight-gap
+    decision it is based on.
 
     Runs the weight-gap rule hypothetically against the snapshot (counters and
     budget untouched) to determine the rebate term, then evaluates
@@ -259,6 +259,7 @@ def compute_alpha_ij(
     rejected, it interpolates the queue work covered by the leftover budget;
     if j and the queue tail would be rejected, it is w times their processing;
     otherwise it is p times the rejected weight plus eps^2 * budget * p.
+    The caller that dispatches ``j`` here applies the returned decision.
     """
     machine = snapshot.id
     V_before = [jobs[h] for h in snapshot.pending]
@@ -295,23 +296,25 @@ def compute_alpha_ij(
     else:
         rejected_w = sum((jobs[h].weight for h in dec.rejected), Fraction(0))
         rebate = p * rejected_w + epsilon * epsilon * w_prime * p
-    return main - rebate
+    return main - rebate, dec
 
 
 def dispatch(
-    snapshots: Sequence["MachineState"],
+    machines: Sequence["MachineState"],
     j: JobSpec,
     jobs: Mapping[int, JobSpec],
     epsilon: Fraction,
-) -> tuple[int, Fraction, list[Fraction]]:
+) -> tuple[int, Fraction, list[Fraction], WeightGapDecision]:
     """Score every machine and pick the cheapest; ties go to the lowest id.
 
     Returns the chosen machine id, the dual value eps/(1+eps) times the
-    minimum score, and all per-machine scores in machine order.
+    minimum score, all per-machine scores in machine order, and the
+    weight-gap decision on the chosen machine. The machines are only read.
     """
-    if not snapshots:
+    if not machines:
         raise ValueError("dispatch requires at least one machine")
-    alphas = [compute_alpha_ij(state, j, jobs, epsilon) for state in snapshots]
+    scored = [compute_alpha_ij(state, j, jobs, epsilon) for state in machines]
+    alphas = [alpha for alpha, _ in scored]
     best = min(range(len(alphas)), key=lambda i: (alphas[i], i))
     alpha_j = epsilon / (1 + epsilon) * alphas[best]
-    return best, alpha_j, alphas
+    return best, alpha_j, alphas, scored[best][1]

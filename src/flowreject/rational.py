@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Rational", "parse_integer", "parse_rational", "format_rational", "decimal_str"]
-
-Rational = Fraction
+__all__ = ["parse_integer", "parse_rational", "format_rational", "decimal_str"]
 
 
 def parse_integer(text: str) -> int:
@@ -61,21 +59,16 @@ def format_rational(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def decimal_str(value: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal string, computed with integers only.
+def decimal_str(value: Fraction) -> str:
+    """Fixed-point decimal string with six digits after the point, computed
+    with integers only.
 
     Rounds half away from zero. Display convenience only; never compared.
     """
-    if places < 0:
-        raise ValueError("places must be >= 0")
     sign = "-" if value < 0 else ""
-    num = abs(value.numerator)
     den = value.denominator
-    scaled = num * 10**places
-    quotient, remainder = divmod(scaled, den)
+    quotient, remainder = divmod(abs(value.numerator) * 10**6, den)
     if 2 * remainder >= den:
         quotient += 1
-    if places == 0:
-        return f"{sign}{quotient}"
-    whole, frac = divmod(quotient, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(quotient, 10**6)
+    return f"{sign}{whole}.{frac:06d}"

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from flowreject import parse_instance, simulate
+from flowreject.engine import simulate
+from flowreject.instance import parse_instance
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -17,19 +17,18 @@ from fractions import Fraction
 
 import pytest
 
+import flowreject
 from conftest import FIXTURES
-from flowreject import (
-    WorkloadSpec,
+from flowreject.analysis import (
     build_certificate,
     check_monotonicity,
-    generate,
     objectives,
     run_all_checks,
-    serialize_event_log,
-    simulate,
     slot_lp_cost,
 )
 from flowreject.cli import main
+from flowreject.engine import serialize_event_log, simulate
+from flowreject.generate import WorkloadSpec, generate
 from flowreject.oracle import brute_force_opt
 from flowreject.rational import format_rational
 
@@ -256,3 +255,44 @@ def test_golden_certificate_matches(e1_outcome):
     }
     golden = (FIXTURES / "e1_certificate.json").read_text()
     assert json.dumps(rebuilt, indent=2) + "\n" == golden
+
+
+PUBLIC_NAMES = [
+    "BRANCHES",
+    "WorkloadSpec",
+    "build_certificate",
+    "generate",
+    "parse_instance",
+    "serialize_instance",
+    "simulate",
+]
+
+
+def test_public_surface():
+    """The package root exports what the README's library example and the
+    benchmark harness import from it, and nothing more."""
+    assert sorted(flowreject.__all__) == PUBLIC_NAMES
+    readme = (FIXTURES.parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Library)", "exec"), {})
+
+    # The benchmark harness takes these from the package root.
+    from flowreject import (
+        BRANCHES,
+        WorkloadSpec,
+        analysis,
+        cli,
+        engine,
+        generate,
+        parse_instance,
+        serialize_instance,
+    )
+
+    assert "no-s/not-smallest" in BRANCHES
+    spec = WorkloadSpec(n=3, m=2, p_min=1, p_max=4, w_min=1, w_max=4,
+                        mean_interarrival=2, seed=5, epsilon=Fraction(1, 2))
+    text = serialize_instance(generate(spec))
+    assert serialize_instance(parse_instance(text)) == text
+    assert callable(analysis.run_all_checks) and callable(engine.simulate)
+    assert callable(cli.main)

@@ -4,14 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from flowreject import (
+from flowreject.analysis import (
     GridRequired,
-    JobSpec,
-    OutOfSupport,
     PiecewiseLinear,
-    Snapshot,
-    UnknownJob,
-    WorkloadSpec,
     build_certificate,
     check_alpha_lower_bound,
     check_dual_feasibility,
@@ -22,13 +17,14 @@ from flowreject import (
     check_weight_balance,
     definitive_completion,
     fractional_weight,
-    generate,
-    make_instance,
     objectives,
     run_all_checks,
-    simulate,
     slot_lp_cost,
 )
+from flowreject.cli import build_report
+from flowreject.engine import simulate
+from flowreject.generate import WorkloadSpec, generate
+from flowreject.instance import JobSpec, make_instance
 from flowreject.rational import format_rational
 
 from conftest import FIXTURES
@@ -80,20 +76,19 @@ def test_piecewise_linear_overlapping_pieces_sum():
 def test_fractional_weight_plateau_and_ramp():
     args = dict(ctilde=Fraction(10), p_ij=Fraction(2), w_j=Fraction(4),
                 r_j=Fraction(0))
-    assert fractional_weight(1, Fraction(5), **args) == 4
-    assert fractional_weight(1, Fraction(8), **args) == 4  # plateau edge
-    assert fractional_weight(1, Fraction(9), **args) == 2  # mid-ramp
-    near_end = fractional_weight(1, Fraction(10) - Fraction(1, 1000), **args)
+    assert fractional_weight(Fraction(5), **args) == 4
+    assert fractional_weight(Fraction(8), **args) == 4  # plateau edge
+    assert fractional_weight(Fraction(9), **args) == 2  # mid-ramp
+    near_end = fractional_weight(Fraction(10) - Fraction(1, 1000), **args)
     assert near_end == Fraction(4) * Fraction(1, 1000) / 2  # -> 0 at the end
 
 
-def test_fractional_weight_support_errors():
+def test_fractional_weight_zero_outside_support():
     args = dict(ctilde=Fraction(10), p_ij=Fraction(2), w_j=Fraction(4),
                 r_j=Fraction(3))
-    with pytest.raises(OutOfSupport):
-        fractional_weight(1, Fraction(2), **args)
-    with pytest.raises(OutOfSupport):
-        fractional_weight(1, Fraction(10), **args)
+    assert fractional_weight(Fraction(2), **args) == 0  # before release
+    assert fractional_weight(Fraction(3), **args) == 4  # support starts at r_j
+    assert fractional_weight(Fraction(10), **args) == 0  # support ends before ctilde
 
 
 # --- completion estimates, one per case ---
@@ -144,7 +139,7 @@ def test_completion_estimate_queue_rejected_by_later_arrival(e3_instance):
 
 
 def test_completion_estimate_unknown_job(e1_outcome):
-    with pytest.raises(UnknownJob):
+    with pytest.raises(KeyError):
         definitive_completion(e1_outcome, 99)
 
 
@@ -212,7 +207,7 @@ def test_checks_pass_on_fixture_instances(e3_instance, counter_tail_instance,
     for inst in (e3_instance, counter_tail_instance, idling_instance):
         out = simulate(inst)
         cert = build_certificate(out)
-        reports = run_all_checks(cert, out, with_monotonicity=True)
+        reports = run_all_checks(cert, out) + [check_monotonicity(inst)]
         assert all(r.passed for r in reports), [
             (r.name, r.margin) for r in reports if not r.passed
         ]
@@ -304,7 +299,7 @@ def test_objectives_grid_requirement():
     objs = objectives(cert, out)
     assert objs.primal_lp_cost is None
     with pytest.raises(GridRequired):
-        objectives(cert, out, include_primal=True)
+        slot_lp_cost(inst, {0: (0, Fraction(0))})
 
 
 def test_slot_lp_cost_single_assignment():
@@ -328,10 +323,16 @@ def test_monotonicity_e1(e1_instance):
 
 
 def test_run_all_checks_optional_monotonicity(e1_instance, e1_outcome):
+    # The trace checks leave monotonicity out; only verify's report adds it.
     cert = build_certificate(e1_outcome)
-    with_mono = run_all_checks(cert, e1_outcome, with_monotonicity=True)
-    assert with_mono[-1].name == "monotonicity"
-    assert with_mono[-1].passed
+    names = [r.name for r in run_all_checks(cert, e1_outcome)]
+    assert "monotonicity" not in names
+    run_report, _ = build_report(e1_instance)
+    verify_report, _ = build_report(e1_instance, monotonicity=True)
+    assert [c["name"] for c in run_report["checks"]] == names
+    assert verify_report["checks"][:-1] == run_report["checks"]
+    assert verify_report["checks"][-1]["name"] == "monotonicity"
+    assert verify_report["checks"][-1]["passed"]
 
 
 # --- randomized cross-checks at small scale ---

@@ -351,6 +351,9 @@ class TestUsage:
             ["gen", "--config", "{tmp}/utf16.cfg"],
             ["gen", "--p-range", "1_0:20"],
             ["run", "{tmp}/utf16.jsonl"],
+            ["gen", "--n", "1_0"],
+            ["gen", "--m", "\u0662"],
+            ["gen", "--n", "abc"],
         ],
     )
     def test_bad_usage_exits_2_with_one_error_line(self, capsys, tmp_path, argv):

@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowreject import (
+from flowreject.engine import (
     BadPrefix,
-    JobSpec,
-    WorkloadSpec,
     event_to_json,
-    generate,
-    make_instance,
     replay_prefix,
     serialize_event_log,
     simulate,
 )
+from flowreject.generate import WorkloadSpec, generate
+from flowreject.instance import JobSpec, make_instance
 
 from conftest import FIXTURES
 
@@ -186,13 +184,14 @@ def check_outcome_wellformed(inst, out):
     # Queue bookkeeping at each arrival: the new pool is the old pool plus
     # the arrival minus this step's rejections.
     for j, info in out.arrivals.items():
-        prev_running = info.preempt_rejected if info.preempt_rejected is not None else info.kappa
-        before = set(info.v_before) | ({prev_running} if prev_running is not None else set())
+        preempted = {
+            h for h, cause in out.reject_cause.items()
+            if cause == "preempt" and out.reject_trigger[h] == j
+        }
+        running = {info.kappa} if info.kappa is not None else set()
+        before = set(info.v_before) | running | preempted
         after_ids = {h for h, _ in info.u_after}
-        removed = set(info.r2) | (
-            {info.preempt_rejected} if info.preempt_rejected is not None else set()
-        )
-        assert after_ids == (before | {j}) - removed
+        assert after_ids == (before | {j}) - set(info.r2) - preempted
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowreject import SplitMix64, WorkloadSpec, generate
+from flowreject.generate import SplitMix64, WorkloadSpec, generate
 
 # Reference outputs of the published 64-bit mix generator this PRNG
 # implements. The seed-1234567 row is the test vector circulated with the

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowreject import (
+from flowreject.instance import (
     BadEpsilon,
     DuplicateJobId,
     Instance,

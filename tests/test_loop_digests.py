@@ -13,7 +13,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES
-from flowreject import BASELINE_POLICIES, WorkloadSpec, baseline, generate, serialize_event_log, simulate
+from flowreject.engine import serialize_event_log, simulate
+from flowreject.generate import WorkloadSpec, generate
+from flowreject.oracle import BASELINE_POLICIES, baseline
 from flowreject.rational import format_rational
 
 CASES = json.loads((FIXTURES / "loop_digests.json").read_text())

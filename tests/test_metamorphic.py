@@ -11,7 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from flowreject.analysis import build_certificate, objectives, run_all_checks
+from flowreject.analysis import (
+    build_certificate,
+    check_monotonicity,
+    objectives,
+    run_all_checks,
+)
 from flowreject.engine import simulate
 from flowreject.generate import WorkloadSpec, generate
 from flowreject.instance import make_instance
@@ -44,8 +49,9 @@ def test_scaling_weights_scales_margins(c, shape, seed):
     spec = WorkloadSpec(n=16, m=m, p_min=1, p_max=10, w_min=1, w_max=10,
                         mean_interarrival=mean_interarrival, seed=seed, epsilon=eps)
     instance = generate(spec)
+    scaled_instance = scale_weights(instance, c)
     base = simulate(instance)
-    scaled = simulate(scale_weights(instance, c))
+    scaled = simulate(scaled_instance)
 
     assert scaled.events == [scale_alpha(e, c) for e in base.events]
     base_cert = build_certificate(base)
@@ -54,8 +60,10 @@ def test_scaling_weights_scales_margins(c, shape, seed):
     scaled_objs = objectives(scaled_cert, scaled)
     for name, value in vars(base_objs).items():
         assert getattr(scaled_objs, name) == c * value, name
-    base_reports = run_all_checks(base_cert, base, base_objs, with_monotonicity=True)
-    scaled_reports = run_all_checks(scaled_cert, scaled, scaled_objs, with_monotonicity=True)
+    base_reports = run_all_checks(base_cert, base, base_objs) + [check_monotonicity(instance)]
+    scaled_reports = run_all_checks(scaled_cert, scaled, scaled_objs) + [
+        check_monotonicity(scaled_instance)
+    ]
     for before, after in zip(base_reports, scaled_reports, strict=True):
         assert after.name == before.name
         assert after.margin == c * before.margin, before.name

@@ -2,18 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from flowreject import (
+from flowreject.engine import serialize_event_log, simulate
+from flowreject.generate import WorkloadSpec, generate
+from flowreject.instance import JobSpec, make_instance
+from flowreject.oracle import (
     BASELINE_POLICIES,
-    JobSpec,
     TooLarge,
-    WorkloadSpec,
     baseline,
     brute_force_opt,
-    generate,
     lower_bound_trivial,
-    make_instance,
-    serialize_event_log,
-    simulate,
 )
 
 HALF = Fraction(1, 2)

@@ -1,13 +1,14 @@
+import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowreject import (
+from flowreject.engine import MachineState
+from flowreject.instance import JobSpec
+from flowreject.policy import (
     BRANCHES,
     ZERO_BUDGET_BRANCHES,
-    JobSpec,
-    MachineState,
     RhoUndefined,
     apply_preempt_rule,
     compute_alpha_ij,
@@ -153,7 +154,8 @@ def test_rho_out_of_range():
 def test_alpha_on_empty_machine():
     state = MachineState(id=0)
     j = job(1, w=1, p=2)
-    assert compute_alpha_ij(state, j, jobs_by_id(j), HALF) == Fraction(163, 2)
+    alpha, _ = compute_alpha_ij(state, j, jobs_by_id(j), HALF)
+    assert alpha == Fraction(163, 2)
 
 
 def test_alpha_pair_rejection_case():
@@ -165,7 +167,9 @@ def test_alpha_pair_rejection_case():
                          count2={1: Fraction(7, 1)})
     j = job(2, w=1, p=2)
     # main: 20*1*2/(1/2) + 1*8 + 1*2 + 2*0 = 90; rebate: 1*(2+8) = 10
-    assert compute_alpha_ij(state, j, jobs_by_id(a, j), HALF) == 80
+    alpha, dec = compute_alpha_ij(state, j, jobs_by_id(a, j), HALF)
+    assert alpha == 80
+    assert dec.rejected == (1, 2)
 
 
 def test_alpha_identical_snapshots_give_identical_scores():
@@ -183,7 +187,7 @@ def test_alpha_identical_snapshots_give_identical_scores():
 def test_alpha_leaves_snapshot_untouched():
     a = job(1, w=8, p=8)
     state = MachineState(id=0, pending=[1], W=Fraction(3), count2={1: Fraction(2)})
-    before = state.clone()
+    before = copy.deepcopy(state)
     j = job(2, w=1, p=2)
     compute_alpha_ij(state, j, jobs_by_id(a, j), HALF)
     assert state == before
@@ -191,7 +195,7 @@ def test_alpha_leaves_snapshot_untouched():
 
 def test_dispatch_single_machine():
     j = job(1, w=1, p=2)
-    machine, alpha_j, alphas = dispatch([MachineState(id=0)], j, jobs_by_id(j), HALF)
+    machine, alpha_j, alphas, _ = dispatch([MachineState(id=0)], j, jobs_by_id(j), HALF)
     assert machine == 0
     assert alphas == [Fraction(163, 2)]
     assert alpha_j == HALF / (1 + HALF) * alphas[0]
@@ -201,16 +205,38 @@ def test_dispatch_argmin_and_tie_break():
     j = JobSpec(id=1, release=Fraction(0), weight=Fraction(1),
                 proc={0: Fraction(2), 1: Fraction(1), 2: Fraction(3)})
     states = [MachineState(id=i) for i in range(3)]
-    machine, _, alphas = dispatch(states, j, {1: j}, HALF)
+    machine, _, alphas, _ = dispatch(states, j, {1: j}, HALF)
     assert machine == 1
     assert alphas[1] < alphas[0] < alphas[2]
 
     tie = JobSpec(id=1, release=Fraction(0), weight=Fraction(1),
                   proc={0: Fraction(2), 1: Fraction(2)})
-    machine, _, alphas = dispatch([MachineState(id=0), MachineState(id=1)],
-                                  tie, {1: tie}, HALF)
+    machine, _, alphas, _ = dispatch([MachineState(id=0), MachineState(id=1)],
+                                     tie, {1: tie}, HALF)
     assert machine == 0
     assert alphas[0] == alphas[1]
+
+
+def test_dispatch_reads_machines_only():
+    # Scoring reads the live machines, so it must leave every field as it
+    # was, and the decision it returns is the rule's on the chosen machine.
+    def two_machine_job(id, w, p0, p1):
+        return JobSpec(id=id, release=Fraction(0), weight=Fraction(w),
+                       proc={0: Fraction(p0), 1: Fraction(p1)})
+
+    jobs = jobs_by_id(two_machine_job(1, 8, 8, 3), two_machine_job(2, 1, 2, 2),
+                      two_machine_job(3, 2, 4, 4), two_machine_job(4, 5, 1, 6))
+    states = [
+        MachineState(id=0, running=3, run_start=Fraction(0), pending=[1],
+                     W=Fraction(3), count1={3: Fraction(1)}, count2={1: Fraction(2)}),
+        MachineState(id=1, pending=[4], W=Fraction(1), count2={4: Fraction(1)}),
+    ]
+    before = copy.deepcopy(states)
+    machine, _, _, dec = dispatch(states, jobs[2], jobs, HALF)
+    assert states == before
+    chosen = states[machine]
+    assert dec == weight_gap_reject([jobs[h] for h in chosen.pending], chosen.W,
+                                    chosen.count2, jobs[2], HALF, machine)
 
 
 def test_dispatch_requires_a_machine():

@@ -54,12 +54,6 @@ def test_decimal_str_rounding():
 
 
 def test_decimal_str_half_away_from_zero():
-    assert decimal_str(Fraction(1, 2), places=0) == "1"
-    assert decimal_str(Fraction(-1, 2), places=0) == "-1"
-    assert decimal_str(Fraction(25, 1000), places=2) == "0.03"
-
-
-def test_decimal_str_places():
-    assert decimal_str(Fraction(1, 8), places=3) == "0.125"
-    with pytest.raises(ValueError):
-        decimal_str(Fraction(1), places=-1)
+    assert decimal_str(Fraction(1, 2_000_000)) == "0.000001"
+    assert decimal_str(Fraction(-1, 2_000_000)) == "-0.000001"
+    assert decimal_str(Fraction(25, 10_000_000)) == "0.000003"

@@ -20,19 +20,12 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from flowreject import (  # noqa: E402
-    BASELINE_POLICIES,
-    JobSpec,
-    WorkloadSpec,
-    baseline,
-    build_certificate,
-    generate,
-    make_instance,
-    serialize_event_log,
-    serialize_instance,
-    simulate,
-)
+from flowreject.analysis import build_certificate  # noqa: E402
 from flowreject.cli import build_report  # noqa: E402
+from flowreject.engine import serialize_event_log, simulate  # noqa: E402
+from flowreject.generate import WorkloadSpec, generate  # noqa: E402
+from flowreject.instance import JobSpec, make_instance, serialize_instance  # noqa: E402
+from flowreject.oracle import BASELINE_POLICIES, baseline  # noqa: E402
 from flowreject.rational import format_rational  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"

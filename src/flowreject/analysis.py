@@ -20,9 +20,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .engine import SimOutcome, replay_prefix
+# replay_prefix is not called here any more; perfbench/spans.py still patches
+# it as an attribute of this module.
+from .engine import SimOutcome, prefix_outcomes, replay_prefix  # noqa: F401
 from .instance import Instance
 from .policy import ZERO_BUDGET_BRANCHES, compute_rho
 
@@ -64,7 +66,8 @@ class PiecewiseLinear:
     Construction is one sweep: each piece adds its slope and intercept at
     its start and subtracts them at its end, and prefix sums over the sorted
     endpoints give every segment's coefficients. For P pieces that costs
-    O(P log P); evaluation is a bisection, O(log P).
+    O(P log P); evaluation is a bisection, O(log P), and ``walk`` evaluates
+    a sorted run of points by advancing one index instead.
     """
 
     __slots__ = ("breakpoints", "_slopes", "_intercepts")
@@ -104,6 +107,21 @@ class PiecewiseLinear:
             return _ZERO
         idx = bisect_left(pts, t) - 1
         return self._slopes[idx] * t + self._intercepts[idx]
+
+    def walk(self, points: Iterable[Fraction]) -> Iterator[tuple[Fraction, Fraction]]:
+        """Yields ``(value(t), value_left(t))`` for each t of the sorted
+        ``points``, with no bisection: O(len(points) + breakpoints)."""
+        pts = self.breakpoints
+        n = len(pts)
+        k = 0  # breakpoints strictly below t
+        for t in points:
+            while k < n and pts[k] < t:
+                k += 1
+            left = self._slopes[k - 1] * t + self._intercepts[k - 1] if 0 < k < n else _ZERO
+            if k < n and pts[k] == t:
+                yield (self._slopes[k] * t + self._intercepts[k] if k < n - 1 else _ZERO), left
+            else:
+                yield left, left
 
     def integral(self) -> Fraction:
         total = _ZERO
@@ -511,14 +529,13 @@ def check_structural_properties(outcome: SimOutcome) -> CheckReport:
 
 
 def check_theorem_chain(
-    cert: DualCertificate, outcome: SimOutcome, objs: Objectives | None = None
+    cert: DualCertificate, outcome: SimOutcome, objs: Objectives
 ) -> CheckReport:
     """The certified objective must cover its guaranteed share of the
     estimated weighted flow, and the (integer-grid) slot cost must stay
-    within its constant factor of the same quantity."""
+    within its constant factor of the same quantity. ``objs`` are the
+    run's objectives, ``objectives(cert, outcome)``."""
     eps = outcome.instance.epsilon
-    if objs is None:
-        objs = objectives(cert, outcome)
     share = eps**3 / ((1 + eps) * (1 + eps * eps))
     worst = _Worst()
     worst.offer(share * objs.sum_w_ctilde - objs.dual_obj, (None, None, None))
@@ -579,33 +596,36 @@ def slot_lp_cost(
 def check_monotonicity(instance: Instance) -> CheckReport:
     """Adding the next arrival to the input must never lower any machine's
     price curve at any time. Compares consecutive arrival prefixes on the
-    union of their breakpoints, including left limits."""
+    union of their breakpoints, including left limits.
+
+    The n + 1 prefix runs come from one simulation plus n forks, each
+    drained (``prefix_outcomes``), and each pair of curves is compared in
+    one walk over the union. Each prefix certificate is still built in full,
+    O(n log n), so the check as a whole grows like n^2.
+    """
     worst = _Worst()
-    prev_cert = build_certificate(replay_prefix(instance, 0))
-    for k in range(len(instance.jobs)):
-        next_cert = build_certificate(replay_prefix(instance, k + 1))
-        added = instance.jobs[k].id
-        for i in range(instance.machines):
-            lo = prev_cert.beta[i]
-            hi = next_cert.beta[i]
+    outcomes = prefix_outcomes(instance)
+    prev_cert = build_certificate(next(outcomes))
+    for job, outcome in zip(instance.jobs, outcomes):
+        next_cert = build_certificate(outcome)
+        for i, (lo, hi) in enumerate(zip(prev_cert.beta, next_cert.beta)):
             points = sorted(set(lo.breakpoints) | set(hi.breakpoints))
-            for t in points:
-                worst.offer(lo.value(t) - hi.value(t), (i, t, added))
-                worst.offer(lo.value_left(t) - hi.value_left(t), (i, t, added))
+            for t, (lo_v, lo_left), (hi_v, hi_left) in zip(
+                points, lo.walk(points), hi.walk(points)
+            ):
+                worst.offer(lo_v - hi_v, (i, t, job.id))
+                worst.offer(lo_left - hi_left, (i, t, job.id))
         prev_cert = next_cert
     return worst.report("monotonicity")
 
 
 def run_all_checks(
-    cert: DualCertificate, outcome: SimOutcome, objs: Objectives | None = None
+    cert: DualCertificate, outcome: SimOutcome, objs: Objectives
 ) -> list[CheckReport]:
     """All trace-level checks in report order. Monotonicity is not among
     them: it replays every prefix of the instance, so callers that want it
     call :func:`check_monotonicity` themselves. ``objs`` are the run's
-    objectives if the caller has them already; otherwise they are computed
-    here."""
-    if objs is None:
-        objs = objectives(cert, outcome)
+    objectives, ``objectives(cert, outcome)``."""
     return [
         check_structural_properties(outcome),
         check_dual_feasibility(cert, outcome),

@@ -18,16 +18,22 @@ records, mid-run rejections per machine, end-of-timestamp queue snapshots) so
 the certificate layer can reconstruct machine state at any time without
 re-running anything. The no-rejection baselines in ``oracle`` run through the
 same loop with their own arrival step.
+
+The loop pauses after each arrival. ``prefix_outcomes`` forks the live state
+there and drains the fork through the same loop, so the runs over all n + 1
+arrival prefixes cost one simulation plus n drains, not n + 1 simulations.
+Each fork still copies the trace so far, which is O(n) per prefix.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .instance import Instance, JobSpec
 from .rational import format_rational
@@ -43,6 +49,7 @@ __all__ = [
     "SimOutcome",
     "simulate",
     "replay_prefix",
+    "prefix_outcomes",
     "event_to_json",
     "serialize_event_log",
 ]
@@ -230,6 +237,23 @@ def replay_prefix(instance: Instance, k: int) -> SimOutcome:
     return simulate(sub)
 
 
+def prefix_outcomes(instance: Instance) -> Iterator[SimOutcome]:
+    """Yields ``replay_prefix(instance, k)`` for k = 0..n from one run.
+
+    The policy is online and deterministic, so the run over the first k jobs
+    is the full run up to just after job k's arrival, then a drain with no
+    arrivals. After each arrival the live state is forked, the fork closes
+    the timestamp and drains through the same loop, and the full run
+    carries on.
+    """
+    yield replay_prefix(instance, 0)
+    sim = _Simulator(instance)
+    for now in sim._steps():
+        fork = sim._fork()
+        fork._close_stamp(now)
+        yield fork.run()
+
+
 class _Simulator:
     """The event loop, with the paper's policy as its arrival step.
 
@@ -252,40 +276,73 @@ class _Simulator:
             self.out.C[j.id] = None
             self.out.reject_cause[j.id] = None
             self.out.reject_trigger[j.id] = None
+        self._cursor = 0
 
     def run(self) -> SimOutcome:
-        pending_arrivals = list(self.instance.jobs)
-        cursor = 0
-        while True:
-            next_arrival = (
-                pending_arrivals[cursor].release if cursor < len(pending_arrivals) else None
-            )
-            completions = [
-                t for m in self.machines if (t := m.completion_time(self.jobs)) is not None
-            ]
-            next_completion = min(completions) if completions else None
-            if next_arrival is None and next_completion is None:
-                break
-            candidates = [t for t in (next_arrival, next_completion) if t is not None]
-            now = min(candidates)
+        for _ in self._steps():
+            pass
+        return self.out
 
+    def _steps(self) -> Iterator[Fraction]:
+        """The event loop. Yields the current time after each ``_arrive``:
+        mid-timestamp, after the completions and the arrivals so far, before
+        the starts. ``_fork`` splits a prefix run off there."""
+        jobs = self.instance.jobs
+        while True:
+            times = [t for m in self.machines if (t := m.completion_time(self.jobs)) is not None]
+            if self._cursor < len(jobs):
+                times.append(jobs[self._cursor].release)
+            if not times:
+                break
+            now = min(times)
             for m in self.machines:
                 if m.completion_time(self.jobs) == now:
                     self._complete(m, now)
             self._r1_this_stamp: set[int] = set()
-            while cursor < len(pending_arrivals) and pending_arrivals[cursor].release == now:
-                self._arrive(pending_arrivals[cursor], now)
-                cursor += 1
-            for m in self.machines:
-                if m.running is None and m.pending:
-                    self._start(m, now)
-            for m in self.machines:
-                self._assert_budget(m, now)
-                self.out.snapshots[m.id].append(
-                    Snapshot(now, tuple(m.pending), m.running, m.run_start, m.W)
-                )
+            while self._cursor < len(jobs) and jobs[self._cursor].release == now:
+                self._arrive(jobs[self._cursor], now)
+                self._cursor += 1
+                yield now
+            self._close_stamp(now)
         self._finalize()
-        return self.out
+
+    def _close_stamp(self, now: Fraction) -> None:
+        """Starts idle machines, then records the end-of-timestamp state."""
+        for m in self.machines:
+            if m.running is None and m.pending:
+                self._start(m, now)
+        for m in self.machines:
+            self._assert_budget(m, now)
+            self.out.snapshots[m.id].append(
+                Snapshot(now, tuple(m.pending), m.running, m.run_start, m.W)
+            )
+
+    def _fork(self) -> "_Simulator":
+        """A simulator over the jobs that have arrived so far, with its own
+        copy of the live state. The trace containers are copied shallowly:
+        the records in them are frozen."""
+        k = self._cursor
+        fork = _Simulator(
+            Instance(self.instance.machines, self.instance.jobs[:k], self.eps)
+        )
+        fork._cursor = k
+        fork.machines = [
+            replace(m, pending=list(m.pending), count1=dict(m.count1), count2=dict(m.count2))
+            for m in self.machines
+        ]
+        src, out = self.out, fork.out
+        out.events = list(src.events)
+        out.machine_of = dict(src.machine_of)
+        out.alpha = dict(src.alpha)
+        out.L = dict(src.L)
+        out.arrivals = dict(src.arrivals)
+        out.r1_events = [list(r) for r in src.r1_events]
+        out.snapshots = [list(s) for s in src.snapshots]
+        # __init__ filled these for every job, in instance order; the jobs
+        # after the first k have not arrived, so their entries are still None.
+        for name in ("S", "C", "reject_cause", "reject_trigger"):
+            setattr(out, name, dict(islice(getattr(src, name).items(), k)))
+        return fork
 
     def _complete(self, m: MachineState, now: Fraction) -> None:
         job_id = m.running

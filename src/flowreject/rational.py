@@ -63,12 +63,13 @@ def decimal_str(value: Fraction) -> str:
     """Fixed-point decimal string with six digits after the point, computed
     with integers only.
 
-    Rounds half away from zero. Display convenience only; never compared.
+    Rounds half away from zero; a negative value that rounds to zero prints
+    without a sign. Display convenience only; never compared.
     """
-    sign = "-" if value < 0 else ""
     den = value.denominator
     quotient, remainder = divmod(abs(value.numerator) * 10**6, den)
     if 2 * remainder >= den:
         quotient += 1
+    sign = "-" if value < 0 and quotient else ""
     whole, frac = divmod(quotient, 10**6)
     return f"{sign}{whole}.{frac:06d}"

@@ -6,6 +6,9 @@ dispatched job at every event time, dual feasibility filters the whole
 breakpoint list per (job, machine) pair, and the main inequality rescans the
 rejected jobs per segment. They share only the leaf helpers ``_Worst`` (the
 first strict maximum wins) and ``_wf_of`` with the fast code.
+
+``check_monotonicity`` is the naive prefix check: it simulates each prefix
+from scratch with ``replay_prefix`` and evaluates both curves by bisection.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from flowreject.analysis import (
     PiecewiseLinear,
     _Worst,
     _wf_of,
+    build_certificate,
 )
-from flowreject.engine import SimOutcome
+from flowreject.engine import SimOutcome, replay_prefix
+from flowreject.instance import Instance
 
 _ZERO = Fraction(0)
 
@@ -197,3 +202,23 @@ def check_weight_balance(outcome: SimOutcome) -> CheckReport:
         end_rhs = sum((j.weight * j.proc[i] for j in dispatched), _ZERO) * 5 / eps
         worst.offer(end_lhs - end_rhs, (i, None, None))
     return worst.report("weight_balance")
+
+
+def check_monotonicity(instance: Instance) -> CheckReport:
+    """Adding the next arrival to the input must never lower any machine's
+    price curve at any time. Compares consecutive arrival prefixes on the
+    union of their breakpoints, including left limits."""
+    worst = _Worst()
+    prev_cert = build_certificate(replay_prefix(instance, 0))
+    for k in range(len(instance.jobs)):
+        next_cert = build_certificate(replay_prefix(instance, k + 1))
+        added = instance.jobs[k].id
+        for i in range(instance.machines):
+            lo = prev_cert.beta[i]
+            hi = next_cert.beta[i]
+            points = sorted(set(lo.breakpoints) | set(hi.breakpoints))
+            for t in points:
+                worst.offer(lo.value(t) - hi.value(t), (i, t, added))
+                worst.offer(lo.value_left(t) - hi.value_left(t), (i, t, added))
+        prev_cert = next_cert
+    return worst.report("monotonicity")

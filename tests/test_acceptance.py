@@ -77,7 +77,7 @@ def sweep():
             outcome = simulate(instance)
             cert = build_certificate(outcome)
             objs = objectives(cert, outcome)
-            checks = {c.name: c for c in run_all_checks(cert, outcome)}
+            checks = {c.name: c for c in run_all_checks(cert, outcome, objs)}
             runs.append(SweepRun(eps, outcome, cert, objs, checks))
     elapsed = time.perf_counter() - start
     return runs, elapsed
@@ -125,7 +125,9 @@ def test_dual_feasibility_violation_names_a_witness(e1_outcome):
     forged = dataclasses.replace(
         cert, alpha={j: 1000 * a for j, a in cert.alpha.items()}
     )
-    failed = {c.name: c for c in run_all_checks(forged, e1_outcome)}
+    failed = {
+        c.name: c for c in run_all_checks(forged, e1_outcome, objectives(forged, e1_outcome))
+    }
     check = failed["dual_feasibility"]
     assert not check.passed
     assert check.margin > 0

@@ -189,7 +189,8 @@ def test_certificate_completed_jobs_bounded_by_estimate(e1_outcome):
 
 
 def test_all_checks_pass_on_e1(e1_outcome):
-    reports = run_all_checks(build_certificate(e1_outcome), e1_outcome)
+    cert = build_certificate(e1_outcome)
+    reports = run_all_checks(cert, e1_outcome, objectives(cert, e1_outcome))
     assert [r.name for r in reports] == [
         "structural_properties",
         "dual_feasibility",
@@ -207,7 +208,7 @@ def test_checks_pass_on_fixture_instances(e3_instance, counter_tail_instance,
     for inst in (e3_instance, counter_tail_instance, idling_instance):
         out = simulate(inst)
         cert = build_certificate(out)
-        reports = run_all_checks(cert, out) + [check_monotonicity(inst)]
+        reports = run_all_checks(cert, out, objectives(cert, out)) + [check_monotonicity(inst)]
         assert all(r.passed for r in reports), [
             (r.name, r.margin) for r in reports if not r.passed
         ]
@@ -257,7 +258,7 @@ def test_weight_balance_and_alpha_bound_on_e1(e1_outcome):
 
 def test_theorem_chain_margin_on_e1(e1_outcome):
     cert = build_certificate(e1_outcome)
-    report = check_theorem_chain(cert, e1_outcome)
+    report = check_theorem_chain(cert, e1_outcome, objectives(cert, e1_outcome))
     assert report.passed
     # dual objective 4799/30 against the scaled estimate sum 6/5.
     assert report.margin == Fraction(6, 5) - Fraction(4799, 30)
@@ -325,7 +326,7 @@ def test_monotonicity_e1(e1_instance):
 def test_run_all_checks_optional_monotonicity(e1_instance, e1_outcome):
     # The trace checks leave monotonicity out; only verify's report adds it.
     cert = build_certificate(e1_outcome)
-    names = [r.name for r in run_all_checks(cert, e1_outcome)]
+    names = [r.name for r in run_all_checks(cert, e1_outcome, objectives(cert, e1_outcome))]
     assert "monotonicity" not in names
     run_report, _ = build_report(e1_instance)
     verify_report, _ = build_report(e1_instance, monotonicity=True)
@@ -348,5 +349,5 @@ def test_estimates_dominate_departures_random(seed):
     for j, ct in cert.ctilde.items():
         assert out.L[j] <= ct
         assert out.jobs[j].release <= ct
-    reports = run_all_checks(cert, out)
+    reports = run_all_checks(cert, out, objectives(cert, out))
     assert all(r.passed for r in reports)

@@ -2,7 +2,9 @@
 
 Each fast checker must return the reference's report field for field:
 name, verdict, exact margin and witness. That covers failing runs too, so
-forged traces and certificates are compared as well as honest ones.
+forged traces and certificates are compared as well as honest ones. The
+one-run prefix outcomes must equal ``replay_prefix`` field for field, and the
+monotonicity check built on them must equal the naive one.
 """
 
 import dataclasses
@@ -10,7 +12,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import quadratic_reference as ref
 from flowreject import analysis
@@ -19,9 +21,10 @@ from flowreject.analysis import (
     build_certificate,
     check_dual_feasibility,
     check_main_inequality,
+    check_monotonicity,
     check_weight_balance,
 )
-from flowreject.engine import simulate
+from flowreject.engine import prefix_outcomes, replay_prefix, simulate
 from flowreject.generate import WorkloadSpec, generate
 from flowreject.instance import JobSpec, make_instance
 
@@ -93,6 +96,73 @@ def test_random_instances_match_reference(instance):
     assert_matches_reference(simulate(instance))
 
 
+def outcome_fields(outcome):
+    """Every field of a SimOutcome, with dicts as item lists so that key
+    order counts."""
+    out = {}
+    for f in dataclasses.fields(outcome):
+        value = getattr(outcome, f.name)
+        if f.name == "instance":
+            value = (value.machines, tuple(value.jobs), value.epsilon)
+        elif isinstance(value, dict):
+            value = list(value.items())
+        out[f.name] = value
+    return out
+
+
+def assert_prefixes_match_replay(instance):
+    # Compared after the whole run, so a container that a fork shares with
+    # the live run would show the later events.
+    outcomes = list(prefix_outcomes(instance))
+    assert len(outcomes) == len(instance.jobs) + 1
+    for k, outcome in enumerate(outcomes):
+        assert outcome_fields(outcome) == outcome_fields(replay_prefix(instance, k)), k
+
+
+def congested_spec(n, m, eps, seed):
+    # Mean interarrival 1 gives same-time arrivals and queues of several jobs.
+    return WorkloadSpec(n=n, m=m, p_min=1, p_max=10, w_min=1, w_max=10,
+                        mean_interarrival=1, seed=seed, epsilon=eps)
+
+
+SWEEP_EPSILONS = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("eps", SWEEP_EPSILONS)
+def test_prefix_outcomes_match_replay(m, eps):
+    for seed in range(5):
+        assert_prefixes_match_replay(generate(congested_spec(14, m, eps, seed)))
+
+
+def test_monotonicity_matches_naive_reference():
+    failing = 0
+    for m in (1, 2, 3):
+        for eps in SWEEP_EPSILONS:
+            for seed in range(8):
+                instance = generate(congested_spec(14, m, eps, seed))
+                report = check_monotonicity(instance)
+                assert fields(report) == fields(ref.check_monotonicity(instance))
+                failing += not report.passed
+    # The same-time preempt-rejection defect makes 10 of these fail, so
+    # failing margins and witnesses are compared too.
+    assert failing == 10
+
+
+def test_monotonicity_matches_naive_reference_on_congested_benchmark_input():
+    instance = generate(congested_spec(80, 4, Fraction(1, 4), 2))
+    expected = ("monotonicity", False, Fraction(48, 85), (2, Fraction(43), 39))
+    assert fields(ref.check_monotonicity(instance)) == expected
+    assert fields(check_monotonicity(instance)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_random_instances_prefixes_match_replay(instance):
+    assert_prefixes_match_replay(instance)
+    assert fields(check_monotonicity(instance)) == fields(ref.check_monotonicity(instance))
+
+
 pieces = st.lists(
     st.tuples(rationals(-5, 10), rationals(-5, 10), rationals(-4, 4), rationals(-9, 9)),
     max_size=12,
@@ -105,10 +175,19 @@ def test_piecewise_linear_matches_reference(piece_list):
     assert curve(PiecewiseLinear(piece_list)) == curve(ref.ReferencePiecewiseLinear(piece_list))
 
 
+@settings(max_examples=200, deadline=None)
+@given(pieces, st.lists(rationals(-7, 12), max_size=5))
+@example([], [Fraction(0)])
+@example([], [])
+def test_walk_matches_bisection(piece_list, extra):
+    beta = PiecewiseLinear(piece_list)
+    # A sorted superset of the breakpoints, the last breakpoint included.
+    points = sorted(set(beta.breakpoints) | set(extra))
+    assert list(beta.walk(points)) == [(beta.value(t), beta.value_left(t)) for t in points]
+
+
 def congested_outcome():
-    spec = WorkloadSpec(n=40, m=2, p_min=1, p_max=10, w_min=1, w_max=10,
-                        mean_interarrival=1, seed=3, epsilon=Fraction(1, 4))
-    return simulate(generate(spec))
+    return simulate(generate(congested_spec(40, 2, Fraction(1, 4), 3)))
 
 
 @pytest.fixture(params=["e1", "congested"])

@@ -57,3 +57,9 @@ def test_decimal_str_half_away_from_zero():
     assert decimal_str(Fraction(1, 2_000_000)) == "0.000001"
     assert decimal_str(Fraction(-1, 2_000_000)) == "-0.000001"
     assert decimal_str(Fraction(25, 10_000_000)) == "0.000003"
+
+
+def test_decimal_str_negative_rounding_to_zero_has_no_sign():
+    assert decimal_str(Fraction(-1, 10**8)) == "0.000000"
+    assert decimal_str(Fraction(-49, 10**8)) == "0.000000"
+    assert decimal_str(Fraction(-1, 2_000_000)) == "-0.000001"

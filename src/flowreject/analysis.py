@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 # replay_prefix is not called here any more; perfbench/spans.py still patches
 # it as an attribute of this module.
 from .engine import SimOutcome, prefix_outcomes, replay_prefix  # noqa: F401
-from .instance import Instance
+from .instance import Instance, JobSpec
 from .policy import ZERO_BUDGET_BRANCHES, compute_rho
 
 __all__ = [
@@ -245,25 +245,39 @@ def _preempt_wasted(outcome: SimOutcome, i: int, r: Fraction, L: Fraction) -> Fr
     return sum((q for t, _, q in outcome.r1_events[i] if r < t <= L), _ZERO)
 
 
+def _price_scale(eps: Fraction) -> Fraction:
+    """The factor c_beta on job weights in the price curves."""
+    return eps / ((1 + eps) * (1 + eps * eps))
+
+
+def _price_pieces(
+    job: JobSpec, i: int, ct: Fraction, c_beta: Fraction
+) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """Job's share of machine i's price curve, given its estimate ``ct``: a
+    plateau of c_beta * w_j from r_j, then a ramp to zero over the last p_ij
+    before ``ct``. Only pieces of positive length; none when ct <= r_j."""
+    p = job.proc[i]
+    w = c_beta * job.weight
+    ramp_start = max(job.release, ct - p)
+    pieces = []
+    if job.release < ramp_start:
+        pieces.append((job.release, ramp_start, _ZERO, w))
+    if ramp_start < ct:
+        pieces.append((ramp_start, ct, -w / p, w * ct / p))
+    return pieces
+
+
 def build_certificate(outcome: SimOutcome) -> DualCertificate:
     eps = outcome.instance.epsilon
     c_alpha = eps / (1 + eps)
-    c_beta = eps / ((1 + eps) * (1 + eps * eps))
+    c_beta = _price_scale(eps)
     ctilde = {j.id: definitive_completion(outcome, j.id) for j in outcome.instance.jobs}
     beta: list[PiecewiseLinear] = []
     for i in range(outcome.instance.machines):
         pieces = []
         for job in outcome.instance.jobs:
-            if outcome.machine_of.get(job.id) != i:
-                continue
-            ct = ctilde[job.id]
-            p = job.proc[i]
-            ramp_start = max(job.release, ct - p)
-            if job.release < ramp_start:
-                pieces.append((job.release, ramp_start, _ZERO, c_beta * job.weight))
-            if ramp_start < ct:
-                w = c_beta * job.weight
-                pieces.append((ramp_start, ct, -w / p, w * ct / p))
+            if outcome.machine_of.get(job.id) == i:
+                pieces += _price_pieces(job, i, ctilde[job.id], c_beta)
         beta.append(PiecewiseLinear(pieces))
     return DualCertificate(
         alpha=dict(outcome.alpha),
@@ -598,25 +612,82 @@ def check_monotonicity(instance: Instance) -> CheckReport:
     price curve at any time. Compares consecutive arrival prefixes on the
     union of their breakpoints, including left limits.
 
-    The n + 1 prefix runs come from one simulation plus n forks, each
-    drained (``prefix_outcomes``), and each pair of curves is compared in
-    one walk over the union. Each prefix certificate is still built in full,
-    O(n log n), so the check as a whole grows like n^2.
+    The n + 1 prefix runs come from one simulation plus n drains
+    (``prefix_outcomes``). Prefix k + 1's run equals prefix k's before the
+    new release r, so only the new job and the jobs still present at r
+    (L >= r) can change their completion estimate, and only those are
+    recomputed. Every other estimate is reused after a reuse check: its
+    inputs (L, machine, rejection cause and trigger, the job's and its
+    trigger's arrival records, and each machine's mid-run rejections before
+    r) must be equal in both traces, else AssertionError names the job or
+    the machine.
+
+    The two curves are compared through their difference, built from the
+    changed jobs' pieces alone: new ones added, old ones subtracted, and
+    only its breakpoints are offered. They are union points, and between
+    them the difference is linear, so any other union point offers a value
+    below one offered, equal to one offered earlier, or 0. The first 0 of
+    the whole check is offered too: it is the left limit at the first
+    breakpoint of the first pair of curves that has any, and there the old
+    curve is empty, so the difference is the new curve. Past the drains, a
+    prefix costs O(c log c) for c changed pieces, plus O(n) comparisons in
+    the reuse check.
     """
+    c_beta = _price_scale(instance.epsilon)
+    jobs = {j.id: j for j in instance.jobs}
     worst = _Worst()
     outcomes = prefix_outcomes(instance)
-    prev_cert = build_certificate(next(outcomes))
-    for job, outcome in zip(instance.jobs, outcomes):
-        next_cert = build_certificate(outcome)
-        for i, (lo, hi) in enumerate(zip(prev_cert.beta, next_cert.beta)):
-            points = sorted(set(lo.breakpoints) | set(hi.breakpoints))
-            for t, (lo_v, lo_left), (hi_v, hi_left) in zip(
-                points, lo.walk(points), hi.walk(points)
-            ):
-                worst.offer(lo_v - hi_v, (i, t, job.id))
-                worst.offer(lo_left - hi_left, (i, t, job.id))
-        prev_cert = next_cert
+    before = next(outcomes)
+    ctilde: dict[int, Fraction] = {}  # the estimates of the last prefix
+    live: list[int] = []  # jobs whose estimate a later arrival may change
+    frozen: list[int] = []  # jobs that left before some arrival
+    for job, after in zip(instance.jobs, outcomes):
+        r = job.release
+        # L >= r, not L > r: a job that left at r reads mid-run rejections
+        # at r, and the new arrival can add one.
+        changed = [h for h in live if before.L[h] >= r]
+        frozen += [h for h in live if before.L[h] < r]
+        for h in frozen:
+            if _estimate_inputs(before, h) != _estimate_inputs(after, h):
+                raise AssertionError(f"job {h}: estimate inputs differ between prefixes")
+        for i, (old, new) in enumerate(zip(before.r1_events, after.r1_events, strict=True)):
+            if [e for e in old if e[0] < r] != [e for e in new if e[0] < r]:
+                raise AssertionError(
+                    f"machine {i}: mid-run rejections before {r} differ between prefixes"
+                )
+
+        diff: list[list] = [[] for _ in range(instance.machines)]
+        for h in changed:
+            i = before.machine_of[h]
+            lost = _price_pieces(jobs[h], i, ctilde[h], c_beta)
+            diff[i] += [(a, b, -m, -c) for a, b, m, c in lost]
+        changed.append(job.id)
+        for h in changed:
+            ctilde[h] = definitive_completion(after, h)
+            i = after.machine_of[h]
+            diff[i] += _price_pieces(jobs[h], i, ctilde[h], c_beta)
+        for i, pieces in enumerate(diff):
+            d = PiecewiseLinear(pieces)
+            for t, (value, left) in zip(d.breakpoints, d.walk(d.breakpoints)):
+                worst.offer(-value, (i, t, job.id))
+                worst.offer(-left, (i, t, job.id))
+        live = changed
+        before = after
     return worst.report("monotonicity")
+
+
+def _estimate_inputs(outcome: SimOutcome, h: int) -> tuple:
+    """What job h's completion estimate reads from the trace, apart from
+    the mid-run rejections."""
+    trigger = outcome.reject_trigger.get(h)
+    return (
+        outcome.L.get(h),
+        outcome.machine_of.get(h),
+        outcome.reject_cause.get(h),
+        trigger,
+        outcome.arrivals.get(h),
+        outcome.arrivals.get(trigger),
+    )
 
 
 def run_all_checks(

@@ -68,9 +68,10 @@ class MachineState:
     """Live state of one machine: the running job, the queue, and counters.
 
     ``pending`` holds job ids in queue order (for the paper's policy: density
-    descending, release ascending, id ascending). ``count1`` tracks arrival weight charged against
-    the running job; ``count2`` tracks weight-gap counter values by job id.
-    ``W`` is the rejection budget.
+    descending, release ascending, id ascending). ``count1`` is the arrival
+    weight charged against the running job, and resets to 0 when the running
+    job leaves; ``count2`` tracks weight-gap counter values by job id. ``W``
+    is the rejection budget.
     """
 
     id: int
@@ -78,7 +79,7 @@ class MachineState:
     run_start: Fraction | None = None
     pending: list[int] = field(default_factory=list)
     W: Fraction = Fraction(0)
-    count1: dict[int, Fraction] = field(default_factory=dict)
+    count1: Fraction = Fraction(0)
     count2: dict[int, Fraction] = field(default_factory=dict)
 
     def remaining(self, t: Fraction, jobs: dict[int, JobSpec]) -> Fraction:
@@ -327,7 +328,7 @@ class _Simulator:
         )
         fork._cursor = k
         fork.machines = [
-            replace(m, pending=list(m.pending), count1=dict(m.count1), count2=dict(m.count2))
+            replace(m, pending=list(m.pending), count2=dict(m.count2))
             for m in self.machines
         ]
         src, out = self.out, fork.out
@@ -352,7 +353,7 @@ class _Simulator:
         self.out.L[job_id] = now
         m.running = None
         m.run_start = None
-        m.count1.pop(job_id, None)
+        m.count1 = Fraction(0)
         m.count2.pop(job_id, None)
 
     def _start(self, m: MachineState, now: Fraction) -> None:
@@ -393,7 +394,7 @@ class _Simulator:
             self._r1_this_stamp.add(m.id)
             m.running = None
             m.run_start = None
-            m.count1.pop(rejected1, None)
+            m.count1 = Fraction(0)
             m.count2.pop(rejected1, None)
 
         v_before = tuple(m.pending)

@@ -95,9 +95,8 @@ def apply_preempt_rule(
     running = state.running
     if running is None:
         return None
-    count = state.count1.get(running, Fraction(0)) + arrival.weight
-    state.count1[running] = count
-    if count >= jobs[running].weight / epsilon:
+    state.count1 += arrival.weight
+    if state.count1 >= jobs[running].weight / epsilon:
         return running
     return None
 

@@ -9,6 +9,9 @@ first strict maximum wins) and ``_wf_of`` with the fast code.
 
 ``check_monotonicity`` is the naive prefix check: it simulates each prefix
 from scratch with ``replay_prefix`` and evaluates both curves by bisection.
+``check_monotonicity_full_walk`` is the check that the delta comparison
+replaced: one run plus n drains, a full certificate per prefix, and one walk
+over every union point of each pair of curves.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from flowreject.analysis import (
     _wf_of,
     build_certificate,
 )
-from flowreject.engine import SimOutcome, replay_prefix
+from flowreject.engine import SimOutcome, prefix_outcomes, replay_prefix
 from flowreject.instance import Instance
 
 _ZERO = Fraction(0)
@@ -220,5 +223,31 @@ def check_monotonicity(instance: Instance) -> CheckReport:
             for t in points:
                 worst.offer(lo.value(t) - hi.value(t), (i, t, added))
                 worst.offer(lo.value_left(t) - hi.value_left(t), (i, t, added))
+        prev_cert = next_cert
+    return worst.report("monotonicity")
+
+
+def check_monotonicity_full_walk(instance: Instance) -> CheckReport:
+    """Adding the next arrival to the input must never lower any machine's
+    price curve at any time. Compares consecutive arrival prefixes on the
+    union of their breakpoints, including left limits.
+
+    The n + 1 prefix runs come from one simulation plus n forks, each
+    drained (``prefix_outcomes``), and each pair of curves is compared in
+    one walk over the union. Each prefix certificate is still built in full,
+    O(n log n), so the check as a whole grows like n^2.
+    """
+    worst = _Worst()
+    outcomes = prefix_outcomes(instance)
+    prev_cert = build_certificate(next(outcomes))
+    for job, outcome in zip(instance.jobs, outcomes):
+        next_cert = build_certificate(outcome)
+        for i, (lo, hi) in enumerate(zip(prev_cert.beta, next_cert.beta)):
+            points = sorted(set(lo.breakpoints) | set(hi.breakpoints))
+            for t, (lo_v, lo_left), (hi_v, hi_left) in zip(
+                points, lo.walk(points), hi.walk(points)
+            ):
+                worst.offer(lo_v - hi_v, (i, t, job.id))
+                worst.offer(lo_left - hi_left, (i, t, job.id))
         prev_cert = next_cert
     return worst.report("monotonicity")

@@ -4,7 +4,9 @@ Each fast checker must return the reference's report field for field:
 name, verdict, exact margin and witness. That covers failing runs too, so
 forged traces and certificates are compared as well as honest ones. The
 one-run prefix outcomes must equal ``replay_prefix`` field for field, and the
-monotonicity check built on them must equal the naive one.
+delta monotonicity check built on them must equal both references: the naive
+one and the full-curve walk it replaced. A forged prefix must make the delta
+check raise.
 """
 
 import dataclasses
@@ -143,6 +145,7 @@ def test_monotonicity_matches_naive_reference():
                 instance = generate(congested_spec(14, m, eps, seed))
                 report = check_monotonicity(instance)
                 assert fields(report) == fields(ref.check_monotonicity(instance))
+                assert fields(report) == fields(ref.check_monotonicity_full_walk(instance))
                 failing += not report.passed
     # The same-time preempt-rejection defect makes 10 of these fail, so
     # failing margins and witnesses are compared too.
@@ -153,14 +156,76 @@ def test_monotonicity_matches_naive_reference_on_congested_benchmark_input():
     instance = generate(congested_spec(80, 4, Fraction(1, 4), 2))
     expected = ("monotonicity", False, Fraction(48, 85), (2, Fraction(43), 39))
     assert fields(ref.check_monotonicity(instance)) == expected
+    assert fields(ref.check_monotonicity_full_walk(instance)) == expected
     assert fields(check_monotonicity(instance)) == expected
+
+
+def forging_prefix(k, forge):
+    """Patches ``analysis.prefix_outcomes`` so that prefix k's outcome is
+    replaced by ``forge(outcome)``."""
+    honest = analysis.prefix_outcomes
+
+    def forged(instance):
+        for n, outcome in enumerate(honest(instance)):
+            yield forge(outcome) if n == k else outcome
+
+    return patch.object(analysis, "prefix_outcomes", forged)
+
+
+def shift_departed_l(before, r):
+    """A job that left before r, and a forgery that moves its L."""
+    h = next((h for h, left in before.L.items() if left < r), None)
+    if h is None:
+        return None
+    return f"job {h}", lambda o: dataclasses.replace(o, L={**o.L, h: o.L[h] + Fraction(1, 7)})
+
+
+def inflate_early_r1_event(before, r):
+    """A mid-run rejection before r, and a forgery that changes its work."""
+    early = [
+        (i, n)
+        for i, events in enumerate(before.r1_events)
+        for n, (t, _, _) in enumerate(events)
+        if t < r
+    ]
+    if not early:
+        return None
+    i, n = early[0]
+
+    def forge(outcome):
+        r1 = [list(events) for events in outcome.r1_events]
+        t, h, q = r1[i][n]
+        r1[i][n] = (t, h, q + 1)
+        return dataclasses.replace(outcome, r1_events=r1)
+
+    return f"machine {i}", forge
+
+
+@pytest.mark.parametrize("forgery", [shift_departed_l, inflate_early_r1_event])
+def test_reuse_check_rejects_forged_prefix(forgery):
+    # A reused estimate is only sound if its inputs are equal in both
+    # prefixes. Forge one input in one prefix, in the middle of the run:
+    # the check must raise, not report.
+    instance = generate(congested_spec(40, 2, Fraction(1, 2), 1))
+    outcomes = list(prefix_outcomes(instance))
+    candidates = [
+        (k, found)
+        for k, job in enumerate(instance.jobs, start=1)
+        if (found := forgery(outcomes[k - 1], job.release)) is not None
+    ]
+    assert candidates
+    k, (match, forge) = candidates[len(candidates) // 2]
+    with forging_prefix(k, forge), pytest.raises(AssertionError, match=match):
+        check_monotonicity(instance)
 
 
 @settings(max_examples=40, deadline=None)
 @given(instances())
 def test_random_instances_prefixes_match_replay(instance):
     assert_prefixes_match_replay(instance)
-    assert fields(check_monotonicity(instance)) == fields(ref.check_monotonicity(instance))
+    report = fields(check_monotonicity(instance))
+    assert report == fields(ref.check_monotonicity(instance))
+    assert report == fields(ref.check_monotonicity_full_walk(instance))
 
 
 pieces = st.lists(

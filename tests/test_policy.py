@@ -47,17 +47,17 @@ def test_queue_key_orders_density_release_id():
 def test_preempt_rule_threshold_hit():
     running = job(1, w=2, p=10)
     state = MachineState(id=0, running=1, run_start=Fraction(0),
-                         count1={1: Fraction(3)})
+                         count1=Fraction(3))
     arrival = job(2, w=1, p=1)
     assert apply_preempt_rule(state, arrival, jobs_by_id(running, arrival), HALF) == 1
-    assert state.count1[1] == 4
+    assert state.count1 == 4
 
 
 def test_preempt_rule_idle_machine():
     state = MachineState(id=0)
     arrival = job(2, w=1, p=1)
     assert apply_preempt_rule(state, arrival, jobs_by_id(arrival), HALF) is None
-    assert state.count1 == {}
+    assert state.count1 == 0
 
 
 def test_preempt_rule_below_threshold():
@@ -65,7 +65,7 @@ def test_preempt_rule_below_threshold():
     state = MachineState(id=0, running=1, run_start=Fraction(0))
     arrival = job(2, w=1, p=1)
     assert apply_preempt_rule(state, arrival, jobs_by_id(running, arrival), HALF) is None
-    assert state.count1[1] == 1
+    assert state.count1 == 1
 
 
 # --- weight-gap rule ---
@@ -228,7 +228,7 @@ def test_dispatch_reads_machines_only():
                       two_machine_job(3, 2, 4, 4), two_machine_job(4, 5, 1, 6))
     states = [
         MachineState(id=0, running=3, run_start=Fraction(0), pending=[1],
-                     W=Fraction(3), count1={3: Fraction(1)}, count2={1: Fraction(2)}),
+                     W=Fraction(3), count1=Fraction(1), count2={1: Fraction(2)}),
         MachineState(id=1, pending=[4], W=Fraction(1), count2={4: Fraction(1)}),
     ]
     before = copy.deepcopy(states)

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 # replay_prefix is not called here any more; perfbench/spans.py still patches
 # it as an attribute of this module.
 from .engine import SimOutcome, prefix_outcomes, replay_prefix  # noqa: F401
-from .instance import Instance, JobSpec
+from .instance import Instance, JobSpec, density
 from .policy import ZERO_BUDGET_BRANCHES, compute_rho
 
 __all__ = [
@@ -202,25 +202,23 @@ def definitive_completion(outcome: SimOutcome, j: int) -> Fraction:
         # but the job already running blocks the machine for everyone, so its
         # remainder counts regardless of density.
         trig = outcome.arrivals[trigger]
-        dens_j = job.density(i)
-        ahead_u = sum(
+        dens_j = density(job, i)
+        ahead = sum(
             (
-                q
-                for h, q in trig.u_after
-                if h == trig.kappa or jobs[h].density(i) >= dens_j
+                jobs[h].proc[i]
+                for h in trig.v_after + trig.r2
+                if density(jobs[h], i) >= dens_j
             ),
-            _ZERO,
+            trig.kappa_q or _ZERO,
         )
-        higher_r2 = sum(
-            (jobs[h].proc[i] for h in trig.r2 if jobs[h].density(i) >= dens_j), _ZERO
-        )
-        return L + _preempt_wasted(outcome, i, job.release, L) + ahead_u + higher_r2
+        return L + _preempt_wasted(outcome, i, job.release, L) + ahead
 
     info = outcome.arrivals[j]
     p_ij = job.proc[i]
     if len(info.r2) > 1:
         # Rejected together with the old tail: everything still queued counts.
-        return L + p_ij + sum((q for _, q in info.u_after), _ZERO)
+        queued = sum((jobs[h].proc[i] for h in info.v_after), info.kappa_q or _ZERO)
+        return L + p_ij + queued
 
     # Rejected alone on arrival. Work ahead of the budget line counts, plus
     # the running job unless a mid-run rejection happened here.
@@ -406,7 +404,7 @@ def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckRe
                 total = -snap.W
                 if run_job is not None:
                     q = run_job.proc[i] - (t - snap.run_start)
-                    total += run_job.density(i) * q
+                    total += density(run_job, i) * q
                 for h in members_v:
                     total += _wf_of(outcome, cert, h, i, t)
                 rhs = sum((_wf_of(outcome, cert, h, i, t) for h in members_r), _ZERO)
@@ -448,21 +446,23 @@ def check_weight_balance(outcome: SimOutcome) -> CheckReport:
         steps: list[tuple[Fraction, Fraction]] = []
         for job in dispatched:
             info = outcome.arrivals[job.id]
+            nu_before = info.v_before[-1] if info.v_before else None
+            nu_after = info.v_after[-1] if info.v_after else None
             p_ij = job.proc[i]
             d1 = d2 = _ZERO
             if job.id not in info.r2:
                 d1 += eps * eps * info.w_after * p_ij
                 if (
-                    info.nu_before is not None
-                    and info.nu_after == job.id
-                    and p_ij < eps * jobs[info.nu_before].proc[i]
+                    nu_before is not None
+                    and nu_after == job.id
+                    and p_ij < eps * jobs[nu_before].proc[i]
                 ):
-                    d1 -= job.weight * jobs[info.nu_before].proc[i]
+                    d1 -= job.weight * jobs[nu_before].proc[i]
             elif len(info.r2) == 1:
-                if info.nu_after is not None:
-                    d2 += job.weight * jobs[info.nu_after].proc[i]
-            elif info.nu_before is not None:
-                d2 += jobs[info.nu_before].weight * jobs[info.nu_before].proc[i]
+                if nu_after is not None:
+                    d2 += job.weight * jobs[nu_after].proc[i]
+            elif nu_before is not None:
+                d2 += jobs[nu_before].weight * jobs[nu_before].proc[i]
             b3 = job.weight * p_ij / eps
             steps.append((job.release, d1 - d2 - b3))
             # Departed work: b1 if weight-gap rejected, else b2 (completion or
@@ -512,33 +512,31 @@ def check_structural_properties(outcome: SimOutcome) -> CheckReport:
     eps = outcome.instance.epsilon
     jobs = outcome.jobs
     worst = _Worst()
-    for info in outcome.arrivals.values():
-        t = info.time
-        i = info.machine
+    for j, info in outcome.arrivals.items():
+        t = jobs[j].release
+        i = outcome.machine_of[j]
         if info.branch in ZERO_BUDGET_BRANCHES and info.w_after != 0:
-            worst.offer(info.w_after, (i, t, info.job))
+            worst.offer(info.w_after, (i, t, j))
         if info.v_after:
             # Strict bound: equality is already a violation, reported with a
             # sentinel magnitude so the margin stays positive.
             tail_w = jobs[info.v_after[-1]].weight
             margin = eps * info.w_after - tail_w
             if margin >= 0:
-                worst.offer(margin if margin > 0 else Fraction(1), (i, t, info.job))
+                worst.offer(margin if margin > 0 else Fraction(1), (i, t, j))
         if info.r2:
-            if info.job in info.r2:
-                allowed = {info.job}
-                if info.nu_before is not None:
-                    allowed.add(info.nu_before)
+            if j in info.r2:
+                allowed = {j, *info.v_before[-1:]}
                 if not set(info.r2) <= allowed:
-                    worst.offer(Fraction(1), (i, t, info.job))
+                    worst.offer(Fraction(1), (i, t, j))
             else:
                 excess = (
                     sum((jobs[h].weight for h in info.r2), _ZERO)
                     - jobs[info.r2[-1]].weight
                 )
-                margin = excess - 2 * eps * jobs[info.job].weight
+                margin = excess - 2 * eps * jobs[j].weight
                 if margin > 0:
-                    worst.offer(margin, (i, t, info.job))
+                    worst.offer(margin, (i, t, j))
     return worst.report("structural_properties")
 
 

@@ -8,8 +8,8 @@ Exit codes: 0 success (all checks pass), 1 at least one check failed,
 2 usage or input errors.
 
 An optional ``--config`` file holds ``key=value`` lines (keys are the long
-flag names without the leading dashes); explicit flags win over the config
-file, which wins over built-in defaults.
+flag names without the leading dashes, of any command's options); explicit
+flags win over the config file, which wins over built-in defaults.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def build_report(
     if monotonicity:
         checks.append(check_monotonicity(instance))
 
-    total_w = outcome.total_weight
+    total_w = instance.total_weight
     report: dict = {
         "report_version": 1,
         "tool_version": __version__,
@@ -347,7 +347,10 @@ def _load_config(path: str | None) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"config line {lineno}: expected key=value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _DEFAULTS:
+            raise CliError(f"config line {lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -113,30 +113,27 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class ArrivalInfo:
-    """Decision record of one arrival, kept for the certificate layer.
+    """The weight-gap decision made at one arrival, kept for the certificate
+    layer. ``SimOutcome.arrivals`` keys it by the arriving job; the time is
+    that job's release and the machine is ``machine_of`` of it.
 
-    Queue contents are ids in queue order. ``u_after`` is the post-arrival
-    queue plus the running job, with each job's remaining work at this time.
-    ``kappa`` is the job that was running when the weight-gap rule fired
-    (None if the machine was idle or the preempt rule just cleared it), and
-    ``r1_here`` says whether any preempt rejection happened on this machine at
-    this timestamp up to and including this arrival.
+    ``v_before`` and ``v_after`` are the queue, as ids in queue order, before
+    and after the decision; the tails are their last ids. ``r2`` is the
+    rejected set and ``w_after`` the budget left. ``kappa`` is the job that
+    was running when the weight-gap rule fired (None if the machine was idle
+    or the preempt rule just cleared it), and ``kappa_q`` its remaining work
+    then. ``r1_here`` says whether any preempt rejection happened on this
+    machine at this timestamp up to and including this arrival.
     """
 
-    job: int
-    time: Fraction
-    machine: int
     branch: str
     w_after: Fraction
     v_before: tuple[int, ...]
     v_after: tuple[int, ...]
-    nu_before: int | None
-    nu_after: int | None
     r2: tuple[int, ...]
     kappa: int | None
     kappa_q: Fraction | None
     r1_here: bool
-    u_after: tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,8 @@ class SimOutcome:
     """Complete trace of one simulation run.
 
     ``jobs`` maps id to job. ``r1_events[i]`` lists the mid-run rejections on
-    machine i as (time, job, remaining work).
+    machine i as (time, job, remaining work). The total weight is
+    ``instance.total_weight``.
     """
 
     instance: Instance
@@ -174,7 +172,6 @@ class SimOutcome:
     arrivals: dict[int, ArrivalInfo] = field(default_factory=dict)
     r1_events: list[list[tuple[Fraction, int, Fraction]]] = field(default_factory=list)
     snapshots: list[list[Snapshot]] = field(default_factory=list)
-    total_weight: Fraction = Fraction(0)
     weighted_flow_completed: Fraction = Fraction(0)
     rejected_weight_preempt: Fraction = Fraction(0)
     rejected_weight_weight_gap: Fraction = Fraction(0)
@@ -398,7 +395,6 @@ class _Simulator:
             m.count2.pop(rejected1, None)
 
         v_before = tuple(m.pending)
-        nu_before = v_before[-1] if v_before else None
         kappa = m.running
         kappa_q = m.remaining(now, self.jobs) if m.running is not None else None
 
@@ -427,27 +423,17 @@ class _Simulator:
                     branch=dec.branch,
                 )
             )
-        u_after = tuple(
-            [(h, self.jobs[h].proc[m.id]) for h in m.pending]
-            + ([(m.running, m.remaining(now, self.jobs))] if m.running is not None else [])
-        )
         self.out.arrivals[j.id] = ArrivalInfo(
-            job=j.id,
-            time=now,
-            machine=m.id,
             branch=dec.branch,
             w_after=m.W,
             v_before=v_before,
             v_after=tuple(m.pending),
-            nu_before=nu_before,
-            nu_after=m.pending[-1] if m.pending else None,
             r2=dec.rejected,
             kappa=kappa,
             kappa_q=kappa_q,
             r1_here=m.id in self._r1_this_stamp,
-            u_after=u_after,
         )
-        self._assert_arrival_properties(j, dec, nu_before, m, now)
+        self._assert_arrival_properties(j, dec, v_before, m, now)
 
     def _insert_pending(self, m: MachineState, j: JobSpec, queue_key) -> None:
         """Inserts j into m's queue, kept sorted by ``queue_key(job, machine)``."""
@@ -459,13 +445,7 @@ class _Simulator:
                 break
         m.pending.insert(idx, j.id)
 
-    def _assert_arrival_properties(self, j, dec, nu_before, m, now) -> None:
-        order = list(dec.v_order)
-        if list(dec.rejected) != order[len(order) - len(dec.rejected) :]:
-            raise SimulationPanic(
-                f"t={now} machine {m.id}: rejected set {dec.rejected} is not a "
-                f"suffix of {dec.v_order}"
-            )
+    def _assert_arrival_properties(self, j, dec, v_before, m, now) -> None:
         if m.W < 0:
             raise SimulationPanic(f"t={now} machine {m.id}: negative budget {m.W}")
         if dec.branch in policy.ZERO_BUDGET_BRANCHES and m.W != 0:
@@ -473,7 +453,7 @@ class _Simulator:
                 f"t={now} machine {m.id}: branch {dec.branch} left budget {m.W}"
             )
         if j.id in dec.rejected:
-            allowed = ({j.id}, {j.id, nu_before} if nu_before is not None else {j.id})
+            allowed = ({j.id}, {j.id, v_before[-1]} if v_before else {j.id})
             if set(dec.rejected) not in allowed:
                 raise SimulationPanic(
                     f"t={now} machine {m.id}: arrival in rejected set {dec.rejected} "
@@ -501,7 +481,6 @@ class _Simulator:
 
     def _finalize(self) -> None:
         out = self.out
-        out.total_weight = self.instance.total_weight
         for j in self.instance.jobs:
             c = out.C[j.id]
             if c is not None:

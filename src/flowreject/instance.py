@@ -3,16 +3,17 @@
 An instance file is JSON Lines. The first line is a header object
 ``{"machines": m, "epsilon": "num/den"}``. Every following line is one job:
 ``{"id": int, "r": int-or-"num/den", "w": ..., "p": {"m0": v, "m1": v, ...}}``.
-Rationals are serialized as "num/den" strings; plain ints are accepted as
-shorthand. Serialization is canonical, so parse and serialize round-trip
-byte-identically on canonical files.
+Every rational must be in canonical form: a JSON integer when integral, else
+a "num/den" string in lowest terms with a positive denominator. Parsing
+rejects any other spelling, so every value that parses serializes back to
+the same spelling.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import format_rational, parse_rational
@@ -63,9 +64,6 @@ class JobSpec:
     weight: Fraction
     proc: dict[int, Fraction]
 
-    def density(self, machine: int) -> Fraction:
-        return density(self, machine)
-
 
 def density(job: JobSpec, machine: int) -> Fraction:
     """Weight per unit of processing time of ``job`` on ``machine``, exactly."""
@@ -85,14 +83,14 @@ class Instance:
     machines: int
     jobs: tuple[JobSpec, ...]
     epsilon: Fraction
-    integer_grid: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        grid = all(
+    @property
+    def integer_grid(self) -> bool:
+        """Whether every release and processing time is an integer."""
+        return all(
             j.release.denominator == 1 and all(p.denominator == 1 for p in j.proc.values())
             for j in self.jobs
         )
-        object.__setattr__(self, "integer_grid", grid)
 
     @property
     def total_weight(self) -> Fraction:
@@ -127,7 +125,7 @@ def parse_instance(text: str | bytes) -> Instance:
     if not isinstance(machines, int) or isinstance(machines, bool) or machines < 1:
         raise InstanceError(f"machine count must be a positive integer, got {machines!r}")
     try:
-        epsilon = parse_rational(header["epsilon"])
+        epsilon = _parse_canonical(header["epsilon"])
     except ValueError as exc:
         raise BadEpsilon(str(exc)) from None
     if not 0 < epsilon < 1:
@@ -141,8 +139,8 @@ def parse_instance(text: str | bytes) -> Instance:
             raise InstanceError(f"line {lineno}: job entry must be an object")
         try:
             job_id = obj["id"]
-            release = parse_rational(obj["r"])
-            weight = parse_rational(obj["w"])
+            release = _parse_canonical(obj["r"])
+            weight = _parse_canonical(obj["w"])
             proc_raw = obj["p"]
         except KeyError as exc:
             raise InstanceError(f"line {lineno}: missing field {exc}") from None
@@ -168,7 +166,7 @@ def parse_instance(text: str | bytes) -> Instance:
             ):
                 raise InstanceError(f"line {lineno}: bad machine key {key!r}")
             try:
-                proc[int(digits)] = parse_rational(raw)
+                proc[int(digits)] = _parse_canonical(raw)
             except ValueError as exc:
                 raise InstanceError(f"line {lineno}: {exc}") from None
         jobs.append(JobSpec(id=job_id, release=release, weight=weight, proc=proc))
@@ -176,6 +174,14 @@ def parse_instance(text: str | bytes) -> Instance:
     inst = Instance(machines=machines, jobs=_sorted_jobs(jobs), epsilon=epsilon)
     validate(inst)
     return inst
+
+
+def _parse_canonical(raw) -> Fraction:
+    """``parse_rational`` that accepts only what ``format_rational`` writes."""
+    value = parse_rational(raw)
+    if format_rational(value) != raw:
+        raise ValueError(f"not canonical: {raw!r}, write {format_rational(value)!r}")
+    return value
 
 
 def _load_json_line(line: str, lineno: int):

@@ -66,17 +66,17 @@ def queue_key(job: JobSpec, machine: int):
 class WeightGapDecision:
     """Outcome of one weight-gap evaluation for an arriving job.
 
-    ``rejected`` lists the rejected job ids as a contiguous suffix of the
-    queue order over the old queue plus the arrival. ``counter_updates`` maps
-    job id to its new counter value; the caller applies them. ``v_order`` is
-    the full evaluation order (old queue plus arrival) by id.
+    ``rejected`` lists the rejected job ids, in queue order; they are always
+    a contiguous suffix of the queue order over the old queue plus the
+    arrival, because every branch rejects nothing or a range ending at the
+    last position. ``counter_updates`` maps job id to its new counter value;
+    the caller applies them.
     """
 
     rejected: tuple[int, ...]
     new_w: Fraction
     branch: str
     counter_updates: dict[int, Fraction] = field(default_factory=dict)
-    v_order: tuple[int, ...] = ()
 
 
 def apply_preempt_rule(
@@ -205,11 +205,7 @@ def weight_gap_reject(
     if new_w < 0:
         new_w = Fraction(0)
     return WeightGapDecision(
-        rejected=rejected,
-        new_w=new_w,
-        branch=branch,
-        counter_updates=updates,
-        v_order=tuple(job.id for job in joined),
+        rejected=rejected, new_w=new_w, branch=branch, counter_updates=updates
     )
 
 

@@ -28,7 +28,7 @@ from flowreject.analysis import (
     build_certificate,
 )
 from flowreject.engine import SimOutcome, prefix_outcomes, replay_prefix
-from flowreject.instance import Instance
+from flowreject.instance import Instance, density
 
 _ZERO = Fraction(0)
 
@@ -129,7 +129,7 @@ def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckRe
                 total = -snap.W
                 if run_job is not None:
                     q = run_job.proc[i] - (t - snap.run_start)
-                    total += run_job.density(i) * q
+                    total += density(run_job, i) * q
                 for h in members_v:
                     total += _wf_of(outcome, cert, h, i, t)
                 rhs = sum((_wf_of(outcome, cert, h, i, t) for h in members_r), _ZERO)
@@ -167,22 +167,24 @@ def check_weight_balance(outcome: SimOutcome) -> CheckReport:
                 if job.release > t:
                     continue
                 info = outcome.arrivals[job.id]
+                nu_before = info.v_before[-1] if info.v_before else None
+                nu_after = info.v_after[-1] if info.v_after else None
                 p_ij = job.proc[i]
                 own_reject = job.id in info.r2
                 if not own_reject:
                     d1 += eps * eps * info.w_after * p_ij
                     if (
-                        info.nu_before is not None
-                        and info.nu_after == job.id
-                        and p_ij < eps * jobs[info.nu_before].proc[i]
+                        nu_before is not None
+                        and nu_after == job.id
+                        and p_ij < eps * jobs[nu_before].proc[i]
                     ):
-                        d1 -= job.weight * jobs[info.nu_before].proc[i]
+                        d1 -= job.weight * jobs[nu_before].proc[i]
                 else:
                     if len(info.r2) == 1:
-                        if info.nu_after is not None:
-                            d2 += job.weight * jobs[info.nu_after].proc[i]
-                    elif info.nu_before is not None:
-                        d2 += jobs[info.nu_before].weight * jobs[info.nu_before].proc[i]
+                        if nu_after is not None:
+                            d2 += job.weight * jobs[nu_after].proc[i]
+                    elif nu_before is not None:
+                        d2 += jobs[nu_before].weight * jobs[nu_before].proc[i]
                 cause = outcome.reject_cause[job.id]
                 if cause == "weight_gap" and outcome.L[job.id] <= t:
                     b1 += job.weight * p_ij

@@ -87,7 +87,7 @@ def test_rejected_weight_fractions_bounded(sweep):
     runs, elapsed = sweep
     assert len(runs) == SWEEP_INSTANCES * len(EPSILONS)
     for run in runs:
-        total = run.outcome.total_weight
+        total = run.outcome.instance.total_weight
         assert run.outcome.rejected_weight_preempt <= run.epsilon * total
         assert run.outcome.rejected_weight_weight_gap <= 4 * run.epsilon * total
     assert elapsed < 60

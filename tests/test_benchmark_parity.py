@@ -5,7 +5,9 @@ counts a wrong verdict when a report field differs from the one recorded in
 ``perfbench/expected.json``, or when a check fails. This test builds the same
 reports through ``cli.build_report`` and applies the benchmark's own
 ``verdict_fields``, so a change that moves a recorded field fails here first.
-It only reads ``perfbench/``.
+It also runs the benchmark's tracer once, so a change to the trace fields or
+module attributes that the tracer reads fails here. It only reads
+``perfbench/``.
 """
 
 import json
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from flowreject import cli
+from conftest import FIXTURES
+from flowreject import analysis, cli, engine
 from flowreject.generate import generate
 from flowreject.instance import parse_instance, serialize_instance
 
@@ -47,3 +50,16 @@ def test_report_matches_recorded_verdict(name, seed):
 
 def test_every_recorded_input_is_covered():
     assert {(name, int(seed)) for name in EXPECTED for seed in EXPECTED[name]} == set(CASES)
+
+
+def test_tracer_runs_the_cli_and_restores_every_patch():
+    spans = runpy.run_path(str(PERFBENCH / "spans.py"))
+    modules = (analysis, cli, engine)
+    before = [dict(vars(module)) for module in modules]
+    tracer = spans["Tracer"]()
+    with tracer.patched():
+        code, out, _ = tracer.run_cli(["verify", str(FIXTURES / "e1_instance.jsonl")])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["checks"]
+    assert tracer.total_counts()["engine.events"] > 0
+    assert [dict(vars(module)) for module in modules] == before

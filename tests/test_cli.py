@@ -324,6 +324,18 @@ class TestConfig:
         _, out, _ = run_cli(capsys, "run", E3, "--config", str(cfg))
         assert json.loads(out)["epsilon"] == "1/2"
 
+    def test_unknown_config_key_names_line_and_key(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("# shared by gen and sweep\ncount = 3\nsede = 5\n")
+        code, _, err = run_cli(capsys, "gen", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "line 3" in err and "'sede'" in err
+        # A key of another command is allowed: one file serves several.
+        cfg.write_text("count = 3\nn = 2\n")
+        code, out, _ = run_cli(capsys, "gen", "--config", str(cfg))
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just words\n")
@@ -354,10 +366,12 @@ class TestUsage:
             ["gen", "--n", "1_0"],
             ["gen", "--m", "\u0662"],
             ["gen", "--n", "abc"],
+            ["gen", "--config", "{tmp}/typo.cfg"],
         ],
     )
     def test_bad_usage_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
         (tmp_path / "seed.cfg").write_text("seed = abc\n")
+        (tmp_path / "typo.cfg").write_text("n = 3\nsede=5\n")
         (tmp_path / "underscore.cfg").write_text("n = 1_0\n")
         (tmp_path / "arabic.cfg").write_text("seed = \u0661\n", encoding="utf-8")
         # A UTF-16 byte-order mark is not valid UTF-8.

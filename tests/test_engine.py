@@ -81,13 +81,11 @@ def test_e1_trace_details(e1_outcome):
     assert out.weighted_flow_completed == 2
     assert out.rejected_weight_preempt == 2
     assert out.rejected_weight_weight_gap == 2
-    assert out.total_weight == 6
 
 
 def test_replay_prefix_empty_and_full(e1_instance):
     empty = replay_prefix(e1_instance, 0)
     assert empty.events == []
-    assert empty.total_weight == 0
     assert empty.weighted_flow_completed == 0
 
     full = replay_prefix(e1_instance, len(e1_instance.jobs))
@@ -161,8 +159,12 @@ def check_outcome_wellformed(inst, out):
         ]
         assert others == []
 
-    # Totals add up.
-    assert out.total_weight == sum((j.weight for j in inst.jobs), Fraction(0))
+    # Totals add up, and every job's weight is counted exactly once.
+    completed_weight = sum((jobs[j].weight for j in jobs if out.C[j] is not None), Fraction(0))
+    assert (
+        completed_weight + out.rejected_weight_preempt + out.rejected_weight_weight_gap
+        == inst.total_weight
+    )
     assert out.rejected_weight_preempt == sum(
         (jobs[j].weight for j in jobs if out.reject_cause[j] == "preempt"), Fraction(0)
     )
@@ -190,8 +192,8 @@ def check_outcome_wellformed(inst, out):
         }
         running = {info.kappa} if info.kappa is not None else set()
         before = set(info.v_before) | running | preempted
-        after_ids = {h for h, _ in info.u_after}
-        assert after_ids == (before | {j}) - set(info.r2) - preempted
+        after = set(info.v_after) | running
+        assert after == (before | {j}) - set(info.r2) - preempted
 
 
 @settings(max_examples=25, deadline=None)

@@ -107,6 +107,15 @@ def test_parse_nonpositive_values():
         '{"id":0,"r":0,"w":1,"p":{"m00":1}}',
         '{"id":0,"r":0,"w":1,"p":{"m0":1,"m0":2}}',
         '{"id":0,"id":1,"r":0,"w":1,"p":{"m0":1}}',
+        # Rationals that parse but do not round-trip.
+        '{"id":0,"r":"4/2","w":1,"p":{"m0":1}}',
+        '{"id":0,"r":" 3","w":1,"p":{"m0":1}}',
+        '{"id":0,"r":0,"w":"+3","p":{"m0":1}}',
+        '{"id":0,"r":0,"w":"06","p":{"m0":1}}',
+        '{"id":0,"r":"-0","w":1,"p":{"m0":1}}',
+        '{"id":0,"r":0,"w":1,"p":{"m0":"3/1"}}',
+        '{"id":0,"r":0,"w":1,"p":{"m0":"3"}}',
+        '{"id":0,"r":0,"w":"2/4","p":{"m0":1}}',
     ],
 )
 def test_parse_rejects_noncanonical_input(job_line):
@@ -119,6 +128,9 @@ def test_parse_bad_epsilon():
         parse_instance('{"machines":1,"epsilon":1}\n')
     with pytest.raises(BadEpsilon):
         parse_instance('{"machines":1,"epsilon":"0"}\n')
+    for raw in ("2/4", " 1/2", "+1/2", "1/02"):
+        with pytest.raises(BadEpsilon):
+            parse_instance('{"machines":1,"epsilon":"%s"}\n' % raw)
 
 
 def test_integer_grid_flag():

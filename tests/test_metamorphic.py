@@ -9,12 +9,17 @@ Likewise, scaling every release and processing time by c scales every time
 of the run by c and keeps every decision. And the policy reads job ids only
 to break ties in (release, id) order, so renaming ids in a way that keeps
 that order changes nothing but the ids.
+
+The time-scaling and renaming properties run on seeded generated instances,
+and through hypothesis on ``test_differential.instances``, whose releases
+and processing times are off the integer grid.
 """
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowreject.analysis import (
     build_certificate,
@@ -25,13 +30,14 @@ from flowreject.analysis import (
 from flowreject.engine import simulate
 from flowreject.generate import WorkloadSpec, generate
 from flowreject.instance import make_instance
-from test_differential import SWEEP_EPSILONS, congested_spec
+from test_differential import SWEEP_EPSILONS, congested_spec, instances
 
 # The two benchmark workload shapes, (m, mean interarrival, eps), at small n.
 SHAPES = {
     "run": (2, 3, Fraction(1, 2)),
     "verify": (4, 1, Fraction(1, 4)),
 }
+SCALES = [Fraction(3), Fraction(2, 7)]
 
 
 def spec_cases():
@@ -80,7 +86,7 @@ def scale_alpha(event, c):
     )
 
 
-@pytest.mark.parametrize("c", [Fraction(3), Fraction(2, 7)])
+@pytest.mark.parametrize("c", SCALES)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("seed", range(6))
 def test_scaling_weights_scales_margins(c, shape, seed):
@@ -125,10 +131,7 @@ TIME_INVARIANT = {"structural_properties", "dual_feasibility", "main_inequality"
 TIME_SCALED = {"weight_balance", "alpha_lower_bound"}
 
 
-@pytest.mark.parametrize("c", [Fraction(3), Fraction(2, 7)])
-@pytest.mark.parametrize("spec", SPECS)
-def test_scaling_times_keeps_decisions(c, spec):
-    instance = generate(spec)
+def assert_scaling_times_keeps_decisions(instance, c):
     base, base_cert, base_objs, base_reports = certify(instance)
     scaled, scaled_cert, scaled_objs, scaled_reports = certify(scale_times(instance, c))
 
@@ -147,15 +150,26 @@ def test_scaling_times_keeps_decisions(c, spec):
             assert after.witness == (machine, None if t is None else c * t, job), before.name
 
 
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("spec", SPECS)
+def test_scaling_times_keeps_decisions(c, spec):
+    assert_scaling_times_keeps_decisions(generate(spec), c)
+
+
+# Off-grid releases and processing times, where the seeded cases have none.
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.sampled_from(SCALES))
+def test_scaling_times_keeps_decisions_random(instance, c):
+    assert_scaling_times_keeps_decisions(instance, c)
+
+
 def rename_ids(instance):
     """Maps id -> 3 id + 5, which keeps the (release, id) order."""
     jobs = [dataclasses.replace(j, id=3 * j.id + 5) for j in instance.jobs]
     return make_instance(instance.machines, jobs, instance.epsilon)
 
 
-@pytest.mark.parametrize("spec", SPECS)
-def test_renaming_ids_in_order_changes_nothing(spec):
-    instance = generate(spec)
+def assert_renaming_ids_changes_nothing(instance):
     base, _, base_objs, base_reports = certify(instance)
     renamed, _, renamed_objs, renamed_reports = certify(rename_ids(instance))
 
@@ -171,3 +185,14 @@ def test_renaming_ids_in_order_changes_nothing(spec):
         if before.witness is not None:
             machine, t, job = before.witness
             assert after.witness == (machine, t, None if job is None else 3 * job + 5)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_renaming_ids_in_order_changes_nothing(spec):
+    assert_renaming_ids_changes_nothing(generate(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_renaming_ids_in_order_changes_nothing_random(instance):
+    assert_renaming_ids_changes_nothing(instance)

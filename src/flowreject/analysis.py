@@ -18,13 +18,15 @@ decide the inequality for all real t.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 # replay_prefix is not called here any more; perfbench/spans.py still patches
 # it as an attribute of this module.
-from .engine import SimOutcome, prefix_outcomes, replay_prefix  # noqa: F401
+from .engine import SimOutcome, replay_prefix  # noqa: F401
 from .instance import Instance, JobSpec, density
 from .policy import ZERO_BUDGET_BRANCHES, compute_rho
 
@@ -605,20 +607,16 @@ def slot_lp_cost(
     return total
 
 
-def check_monotonicity(instance: Instance) -> CheckReport:
+def check_monotonicity(outcome: SimOutcome) -> CheckReport:
     """Adding the next arrival to the input must never lower any machine's
     price curve at any time. Compares consecutive arrival prefixes on the
     union of their breakpoints, including left limits.
 
-    The n + 1 prefix runs come from one simulation plus n drains
-    (``prefix_outcomes``). Prefix k + 1's run equals prefix k's before the
-    new release r, so only the new job and the jobs still present at r
-    (L >= r) can change their completion estimate, and only those are
-    recomputed. Every other estimate is reused after a reuse check: its
-    inputs (L, machine, rejection cause and trigger, the job's and its
-    trigger's arrival records, and each machine's mid-run rejections before
-    r) must be equal in both traces, else AssertionError names the job or
-    the machine.
+    The prefix runs are derived from the full run's trace by
+    ``_prefix_views``, with no simulation. Prefix k + 1's run equals prefix
+    k's before the new release r, so only the new job and the jobs still
+    present at r (L >= r) can change their completion estimate, and only
+    those are recomputed; every other estimate is kept.
 
     The two curves are compared through their difference, built from the
     changed jobs' pieces alone: new ones added, old ones subtracted, and
@@ -627,74 +625,123 @@ def check_monotonicity(instance: Instance) -> CheckReport:
     below one offered, equal to one offered earlier, or 0. The first 0 of
     the whole check is offered too: it is the left limit at the first
     breakpoint of the first pair of curves that has any, and there the old
-    curve is empty, so the difference is the new curve. Past the drains, a
-    prefix costs O(c log c) for c changed pieces, plus O(n) comparisons in
-    the reuse check.
+    curve is empty, so the difference is the new curve. A prefix costs
+    O(m + q) for the drain of its q queued jobs plus O(c log c) for c
+    changed pieces.
     """
-    c_beta = _price_scale(instance.epsilon)
-    jobs = {j.id: j for j in instance.jobs}
+    c_beta = _price_scale(outcome.instance.epsilon)
+    jobs = outcome.jobs
     worst = _Worst()
-    outcomes = prefix_outcomes(instance)
-    before = next(outcomes)
     ctilde: dict[int, Fraction] = {}  # the estimates of the last prefix
-    live: list[int] = []  # jobs whose estimate a later arrival may change
-    frozen: list[int] = []  # jobs that left before some arrival
-    for job, after in zip(instance.jobs, outcomes):
+    live: dict[int, Fraction] = {}  # L in the last prefix of the jobs it changed
+    for job, after in _prefix_views(outcome):
         r = job.release
         # L >= r, not L > r: a job that left at r reads mid-run rejections
         # at r, and the new arrival can add one.
-        changed = [h for h in live if before.L[h] >= r]
-        frozen += [h for h in live if before.L[h] < r]
-        for h in frozen:
-            if _estimate_inputs(before, h) != _estimate_inputs(after, h):
-                raise AssertionError(f"job {h}: estimate inputs differ between prefixes")
-        for i, (old, new) in enumerate(zip(before.r1_events, after.r1_events, strict=True)):
-            if [e for e in old if e[0] < r] != [e for e in new if e[0] < r]:
-                raise AssertionError(
-                    f"machine {i}: mid-run rejections before {r} differ between prefixes"
-                )
-
-        diff: list[list] = [[] for _ in range(instance.machines)]
+        changed = [h for h, left in live.items() if left >= r]
+        diff: list[list] = [[] for _ in range(outcome.instance.machines)]
         for h in changed:
-            i = before.machine_of[h]
+            i = outcome.machine_of[h]
             lost = _price_pieces(jobs[h], i, ctilde[h], c_beta)
             diff[i] += [(a, b, -m, -c) for a, b, m, c in lost]
         changed.append(job.id)
         for h in changed:
             ctilde[h] = definitive_completion(after, h)
-            i = after.machine_of[h]
+            i = outcome.machine_of[h]
             diff[i] += _price_pieces(jobs[h], i, ctilde[h], c_beta)
         for i, pieces in enumerate(diff):
             d = PiecewiseLinear(pieces)
             for t, (value, left) in zip(d.breakpoints, d.walk(d.breakpoints)):
                 worst.offer(-value, (i, t, job.id))
                 worst.offer(-left, (i, t, job.id))
-        live = changed
-        before = after
+        live = {h: after.L[h] for h in changed}
     return worst.report("monotonicity")
 
 
-def _estimate_inputs(outcome: SimOutcome, h: int) -> tuple:
-    """What job h's completion estimate reads from the trace, apart from
-    the mid-run rejections."""
-    trigger = outcome.reject_trigger.get(h)
-    return (
-        outcome.L.get(h),
-        outcome.machine_of.get(h),
-        outcome.reject_cause.get(h),
-        trigger,
-        outcome.arrivals.get(h),
-        outcome.arrivals.get(trigger),
-    )
+def _prefix_views(outcome: SimOutcome) -> Iterator[tuple[JobSpec, SimpleNamespace]]:
+    """Yields, for each arrival J in order, J and a view of the run over
+    the jobs up to J: the trace facts that ``definitive_completion`` reads.
+
+    That run is the full run up to J's arrival and the rejections J
+    triggered, then a drain with no arrivals. Both rejection rules act only
+    on arrival, so nothing is rejected in the drain: each machine finishes
+    its running job at run_start + p, an idle machine starts its queue head
+    at r_J, and each queue then runs in order. One walk over the event log
+    keeps each machine's running job, its start, its queue and its mid-run
+    rejections so far; after J, J's machine's queue is
+    ``arrivals[J].v_after``. In the view the drained L, with no rejection
+    cause or trigger, overlay the full run's maps, and ``r1_events`` is the
+    walked prefix of each machine's list. A start that does not pop its
+    queue head, or a running job on J's machine other than
+    ``arrivals[J].kappa``, raises AssertionError.
+    """
+    m = outcome.instance.machines
+    jobs = outcome.jobs
+    events = outcome.events
+    running: list[int | None] = [None] * m
+    run_start: list[Fraction] = [_ZERO] * m
+    queue: list[tuple[int, ...]] = [()] * m
+    r1: list[list] = [[] for _ in range(m)]
+    arrived: JobSpec | None = None
+    for k, rec in enumerate(events):
+        i = rec.machine
+        if rec.kind == "arrival":
+            arrived = jobs[rec.job]
+        elif rec.kind == "start":
+            if queue[i][:1] != (rec.job,):
+                raise AssertionError(
+                    f"t={rec.time} machine {i}: job {rec.job} starts, "
+                    f"but the queue is {queue[i]}"
+                )
+            queue[i] = queue[i][1:]
+            running[i] = rec.job
+            run_start[i] = rec.time
+        elif rec.kind == "complete":
+            running[i] = None
+        elif rec.kind == "reject_preempt":
+            running[i] = None
+            r1[i] = outcome.r1_events[i][: len(r1[i]) + 1]
+        # J's arrival ends with the last event that J triggered.
+        if arrived is None or (k + 1 < len(events) and events[k + 1].trigger == arrived.id):
+            continue
+        info = outcome.arrivals[arrived.id]
+        i = outcome.machine_of[arrived.id]
+        queue[i] = info.v_after
+        if running[i] != info.kappa:
+            raise AssertionError(
+                f"job {arrived.id}: machine {i} runs {running[i]}, "
+                f"its arrival record says {info.kappa}"
+            )
+        drained: dict[int, Fraction] = {}
+        for i in range(m):
+            t = arrived.release
+            if running[i] is not None:
+                t = run_start[i] + jobs[running[i]].proc[i]
+                drained[running[i]] = t
+            for h in queue[i]:
+                t += jobs[h].proc[i]
+                drained[h] = t
+        no_cause = dict.fromkeys(drained)
+        yield arrived, SimpleNamespace(
+            jobs=jobs,
+            machine_of=outcome.machine_of,
+            arrivals=outcome.arrivals,
+            L=ChainMap(drained, outcome.L),
+            reject_cause=ChainMap(no_cause, outcome.reject_cause),
+            reject_trigger=ChainMap(no_cause, outcome.reject_trigger),
+            r1_events=list(r1),
+        )
+        arrived = None
 
 
 def run_all_checks(
     cert: DualCertificate, outcome: SimOutcome, objs: Objectives
 ) -> list[CheckReport]:
     """All trace-level checks in report order. Monotonicity is not among
-    them: it replays every prefix of the instance, so callers that want it
-    call :func:`check_monotonicity` themselves. ``objs`` are the run's
-    objectives, ``objectives(cert, outcome)``."""
+    them: it compares every prefix run of the trace and only ``verify``
+    reports it, so callers that want it call :func:`check_monotonicity`
+    themselves. ``objs`` are the run's objectives, ``objectives(cert,
+    outcome)``."""
     return [
         check_structural_properties(outcome),
         check_dual_feasibility(cert, outcome),

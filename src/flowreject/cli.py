@@ -100,7 +100,7 @@ def build_report(
     objs = objectives(cert, outcome)
     checks = run_all_checks(cert, outcome, objs)
     if monotonicity:
-        checks.append(check_monotonicity(instance))
+        checks.append(check_monotonicity(outcome))
 
     total_w = instance.total_weight
     report: dict = {
@@ -196,16 +196,26 @@ def _read_instance(path: str) -> Instance:
         raise CliError(f"bad instance {path}: {exc}") from exc
 
 
-def _override_epsilon(instance: Instance, epsilon: str | None) -> Instance:
-    if epsilon is None:
-        return instance
+def _parse_epsilon(text: str) -> Fraction:
+    """An epsilon from a flag or a config line, held to the instance files'
+    rule: 0 < epsilon < 1, written canonically ("1/2", not "2/4" or "+1/2")."""
     try:
-        eps = parse_rational(epsilon)
+        eps = parse_rational(text)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if not 0 < eps < 1:
-        raise CliError(f"epsilon must satisfy 0 < epsilon < 1, got {epsilon}")
-    return Instance(machines=instance.machines, jobs=instance.jobs, epsilon=eps)
+        raise CliError(f"epsilon must satisfy 0 < epsilon < 1, got {text}")
+    if format_rational(eps) != text:
+        raise CliError(f"epsilon not canonical: {text!r}, write {format_rational(eps)!r}")
+    return eps
+
+
+def _override_epsilon(instance: Instance, epsilon: str | None) -> Instance:
+    if epsilon is None:
+        return instance
+    return Instance(
+        machines=instance.machines, jobs=instance.jobs, epsilon=_parse_epsilon(epsilon)
+    )
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -229,7 +239,7 @@ def _workload_from(args) -> WorkloadSpec:
             w_max=w_hi,
             mean_interarrival=args.mean_interarrival,
             seed=args.seed,
-            epsilon=parse_rational(args.epsilon),
+            epsilon=_parse_epsilon(args.epsilon),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -268,14 +278,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _workload_from(args)
-    try:
-        specs = [
-            replace(base, epsilon=parse_rational(tok))
-            for tok in args.epsilons.split(",")
-            if tok
-        ]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    specs = [replace(base, epsilon=_parse_epsilon(tok)) for tok in args.epsilons.split(",") if tok]
     if not specs or args.count < 1:
         raise CliError("need at least one epsilon and --count >= 1")
     rows = []

@@ -19,21 +19,20 @@ the certificate layer can reconstruct machine state at any time without
 re-running anything. The no-rejection baselines in ``oracle`` run through the
 same loop with their own arrival step.
 
-The loop pauses after each arrival. ``prefix_outcomes`` forks the live state
-there and drains the fork through the same loop, so the runs over all n + 1
-arrival prefixes cost one simulation plus n drains, not n + 1 simulations.
-Each fork still copies the trace so far, which is O(n) per prefix.
+The trace of one run also holds every run over a prefix of the arrivals:
+both rejection rules act only on arrival, so the run over the first k jobs
+is the full run up to job k's arrival, then a drain in queue order.
+``analysis.check_monotonicity`` derives the prefixes from it that way.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .instance import Instance, JobSpec
 from .rational import format_rational
@@ -49,7 +48,6 @@ __all__ = [
     "SimOutcome",
     "simulate",
     "replay_prefix",
-    "prefix_outcomes",
     "event_to_json",
     "serialize_event_log",
 ]
@@ -235,23 +233,6 @@ def replay_prefix(instance: Instance, k: int) -> SimOutcome:
     return simulate(sub)
 
 
-def prefix_outcomes(instance: Instance) -> Iterator[SimOutcome]:
-    """Yields ``replay_prefix(instance, k)`` for k = 0..n from one run.
-
-    The policy is online and deterministic, so the run over the first k jobs
-    is the full run up to just after job k's arrival, then a drain with no
-    arrivals. After each arrival the live state is forked, the fork closes
-    the timestamp and drains through the same loop, and the full run
-    carries on.
-    """
-    yield replay_prefix(instance, 0)
-    sim = _Simulator(instance)
-    for now in sim._steps():
-        fork = sim._fork()
-        fork._close_stamp(now)
-        yield fork.run()
-
-
 class _Simulator:
     """The event loop, with the paper's policy as its arrival step.
 
@@ -274,22 +255,14 @@ class _Simulator:
             self.out.C[j.id] = None
             self.out.reject_cause[j.id] = None
             self.out.reject_trigger[j.id] = None
-        self._cursor = 0
 
     def run(self) -> SimOutcome:
-        for _ in self._steps():
-            pass
-        return self.out
-
-    def _steps(self) -> Iterator[Fraction]:
-        """The event loop. Yields the current time after each ``_arrive``:
-        mid-timestamp, after the completions and the arrivals so far, before
-        the starts. ``_fork`` splits a prefix run off there."""
         jobs = self.instance.jobs
+        cursor = 0
         while True:
             times = [t for m in self.machines if (t := m.completion_time(self.jobs)) is not None]
-            if self._cursor < len(jobs):
-                times.append(jobs[self._cursor].release)
+            if cursor < len(jobs):
+                times.append(jobs[cursor].release)
             if not times:
                 break
             now = min(times)
@@ -297,50 +270,19 @@ class _Simulator:
                 if m.completion_time(self.jobs) == now:
                     self._complete(m, now)
             self._r1_this_stamp: set[int] = set()
-            while self._cursor < len(jobs) and jobs[self._cursor].release == now:
-                self._arrive(jobs[self._cursor], now)
-                self._cursor += 1
-                yield now
-            self._close_stamp(now)
+            while cursor < len(jobs) and jobs[cursor].release == now:
+                self._arrive(jobs[cursor], now)
+                cursor += 1
+            for m in self.machines:
+                if m.running is None and m.pending:
+                    self._start(m, now)
+            for m in self.machines:
+                self._assert_budget(m, now)
+                self.out.snapshots[m.id].append(
+                    Snapshot(now, tuple(m.pending), m.running, m.run_start, m.W)
+                )
         self._finalize()
-
-    def _close_stamp(self, now: Fraction) -> None:
-        """Starts idle machines, then records the end-of-timestamp state."""
-        for m in self.machines:
-            if m.running is None and m.pending:
-                self._start(m, now)
-        for m in self.machines:
-            self._assert_budget(m, now)
-            self.out.snapshots[m.id].append(
-                Snapshot(now, tuple(m.pending), m.running, m.run_start, m.W)
-            )
-
-    def _fork(self) -> "_Simulator":
-        """A simulator over the jobs that have arrived so far, with its own
-        copy of the live state. The trace containers are copied shallowly:
-        the records in them are frozen."""
-        k = self._cursor
-        fork = _Simulator(
-            Instance(self.instance.machines, self.instance.jobs[:k], self.eps)
-        )
-        fork._cursor = k
-        fork.machines = [
-            replace(m, pending=list(m.pending), count2=dict(m.count2))
-            for m in self.machines
-        ]
-        src, out = self.out, fork.out
-        out.events = list(src.events)
-        out.machine_of = dict(src.machine_of)
-        out.alpha = dict(src.alpha)
-        out.L = dict(src.L)
-        out.arrivals = dict(src.arrivals)
-        out.r1_events = [list(r) for r in src.r1_events]
-        out.snapshots = [list(s) for s in src.snapshots]
-        # __init__ filled these for every job, in instance order; the jobs
-        # after the first k have not arrived, so their entries are still None.
-        for name in ("S", "C", "reject_cause", "reject_trigger"):
-            setattr(out, name, dict(islice(getattr(src, name).items(), k)))
-        return fork
+        return self.out
 
     def _complete(self, m: MachineState, now: Fraction) -> None:
         job_id = m.running

@@ -10,8 +10,10 @@ first strict maximum wins) and ``_wf_of`` with the fast code.
 ``check_monotonicity`` is the naive prefix check: it simulates each prefix
 from scratch with ``replay_prefix`` and evaluates both curves by bisection.
 ``check_monotonicity_full_walk`` is the check that the delta comparison
-replaced: one run plus n drains, a full certificate per prefix, and one walk
-over every union point of each pair of curves.
+replaced: a full certificate per prefix and one walk over every union point
+of each pair of curves. It used to take its prefix runs from forks of one
+simulation; it now simulates each prefix with ``replay_prefix``, which gives
+the same runs field for field.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from flowreject.analysis import (
     _wf_of,
     build_certificate,
 )
-from flowreject.engine import SimOutcome, prefix_outcomes, replay_prefix
+from flowreject.engine import SimOutcome, replay_prefix
 from flowreject.instance import Instance, density
 
 _ZERO = Fraction(0)
@@ -234,13 +236,12 @@ def check_monotonicity_full_walk(instance: Instance) -> CheckReport:
     price curve at any time. Compares consecutive arrival prefixes on the
     union of their breakpoints, including left limits.
 
-    The n + 1 prefix runs come from one simulation plus n forks, each
-    drained (``prefix_outcomes``), and each pair of curves is compared in
-    one walk over the union. Each prefix certificate is still built in full,
-    O(n log n), so the check as a whole grows like n^2.
+    Each pair of curves is compared in one walk over the union. Each prefix
+    certificate is built in full, O(n log n), so the check as a whole grows
+    like n^2.
     """
     worst = _Worst()
-    outcomes = prefix_outcomes(instance)
+    outcomes = (replay_prefix(instance, k) for k in range(len(instance.jobs) + 1))
     prev_cert = build_certificate(next(outcomes))
     for job, outcome in zip(instance.jobs, outcomes):
         next_cert = build_certificate(outcome)

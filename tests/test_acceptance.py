@@ -179,7 +179,7 @@ def test_oracle_competitiveness_tiny_instances():
 
 
 def test_monotonicity_prefix_replay(e1_instance):
-    assert check_monotonicity(e1_instance).passed
+    assert check_monotonicity(simulate(e1_instance)).passed
     for idx in range(50):
         spec = WorkloadSpec(
             n=(idx % 15) + 1,
@@ -192,7 +192,7 @@ def test_monotonicity_prefix_replay(e1_instance):
             seed=40_000 + idx,
             epsilon=EPSILONS[idx % 2],
         )
-        assert check_monotonicity(generate(spec)).passed
+        assert check_monotonicity(simulate(generate(spec))).passed
 
 
 @pytest.mark.xfail(
@@ -217,7 +217,7 @@ def test_monotonicity_same_time_preempt_rejection():
         seed=2,
         epsilon=Fraction(1, 2),
     )
-    assert check_monotonicity(generate(spec)).passed
+    assert check_monotonicity(simulate(generate(spec))).passed
 
 
 def test_repeated_run_byte_identical(capsys):

@@ -208,7 +208,7 @@ def test_checks_pass_on_fixture_instances(e3_instance, counter_tail_instance,
     for inst in (e3_instance, counter_tail_instance, idling_instance):
         out = simulate(inst)
         cert = build_certificate(out)
-        reports = run_all_checks(cert, out, objectives(cert, out)) + [check_monotonicity(inst)]
+        reports = run_all_checks(cert, out, objectives(cert, out)) + [check_monotonicity(out)]
         assert all(r.passed for r in reports), [
             (r.name, r.margin) for r in reports if not r.passed
         ]
@@ -313,12 +313,12 @@ def test_slot_lp_cost_single_assignment():
 
 def test_monotonicity_single_job():
     inst = mk(1, HALF, [(0, 0, 1, 5)])
-    report = check_monotonicity(inst)
+    report = check_monotonicity(simulate(inst))
     assert report.passed
 
 
 def test_monotonicity_e1(e1_instance):
-    report = check_monotonicity(e1_instance)
+    report = check_monotonicity(simulate(e1_instance))
     assert report.passed
     assert report.margin <= 0
 

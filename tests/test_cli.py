@@ -367,11 +367,18 @@ class TestUsage:
             ["gen", "--m", "\u0662"],
             ["gen", "--n", "abc"],
             ["gen", "--config", "{tmp}/typo.cfg"],
+            ["run", E1, "--epsilon", "+2/4"],
+            ["verify", E1, "--epsilon", "2/4"],
+            ["run", E1, "--epsilon", "1/2 "],
+            ["gen", "--epsilon", "02/8"],
+            ["sweep", "--count", "1", "--epsilons", "1/4,+1/2"],
+            ["run", E1, "--config", "{tmp}/eps.cfg"],
         ],
     )
     def test_bad_usage_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
         (tmp_path / "seed.cfg").write_text("seed = abc\n")
         (tmp_path / "typo.cfg").write_text("n = 3\nsede=5\n")
+        (tmp_path / "eps.cfg").write_text("epsilon = 2/4\n")
         (tmp_path / "underscore.cfg").write_text("n = 1_0\n")
         (tmp_path / "arabic.cfg").write_text("seed = \u0661\n", encoding="utf-8")
         # A UTF-16 byte-order mark is not valid UTF-8.

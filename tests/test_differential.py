@@ -3,10 +3,10 @@
 Each fast checker must return the reference's report field for field:
 name, verdict, exact margin and witness. That covers failing runs too, so
 forged traces and certificates are compared as well as honest ones. The
-one-run prefix outcomes must equal ``replay_prefix`` field for field, and the
-delta monotonicity check built on them must equal both references: the naive
-one and the full-curve walk it replaced. A forged prefix must make the delta
-check raise.
+prefix facts that the monotonicity check derives from the full trace must
+equal ``replay_prefix``'s, and the check built on them must equal both
+references: the naive one and the full-curve walk it replaced. A forged
+full trace must make the walk raise.
 """
 
 import dataclasses
@@ -20,13 +20,14 @@ import quadratic_reference as ref
 from flowreject import analysis
 from flowreject.analysis import (
     PiecewiseLinear,
+    _prefix_views,
     build_certificate,
     check_dual_feasibility,
     check_main_inequality,
     check_monotonicity,
     check_weight_balance,
 )
-from flowreject.engine import prefix_outcomes, replay_prefix, simulate
+from flowreject.engine import replay_prefix, simulate
 from flowreject.generate import WorkloadSpec, generate
 from flowreject.instance import JobSpec, make_instance
 
@@ -98,27 +99,28 @@ def test_random_instances_match_reference(instance):
     assert_matches_reference(simulate(instance))
 
 
-def outcome_fields(outcome):
-    """Every field of a SimOutcome, with dicts as item lists so that key
-    order counts."""
-    out = {}
-    for f in dataclasses.fields(outcome):
-        value = getattr(outcome, f.name)
-        if f.name == "instance":
-            value = (value.machines, tuple(value.jobs), value.epsilon)
-        elif isinstance(value, dict):
-            value = list(value.items())
-        out[f.name] = value
-    return out
+def prefix_facts(view, jobs):
+    """What a prefix run's completion estimates read for the given jobs:
+    L, machine, rejection cause and trigger, arrival record, and each
+    machine's mid-run rejections."""
+    return (
+        {h: view.L[h] for h in jobs},
+        {h: view.machine_of[h] for h in jobs},
+        {h: view.reject_cause[h] for h in jobs},
+        {h: view.reject_trigger[h] for h in jobs},
+        {h: view.arrivals[h] for h in jobs},
+        view.r1_events,
+    )
 
 
 def assert_prefixes_match_replay(instance):
-    # Compared after the whole run, so a container that a fork shares with
-    # the live run would show the later events.
-    outcomes = list(prefix_outcomes(instance))
-    assert len(outcomes) == len(instance.jobs) + 1
-    for k, outcome in enumerate(outcomes):
-        assert outcome_fields(outcome) == outcome_fields(replay_prefix(instance, k)), k
+    # Compared after the whole walk, so a container that one view shares
+    # with a later one would show the later events.
+    views = list(_prefix_views(simulate(instance)))
+    assert [job for job, _ in views] == list(instance.jobs)
+    for k, (_, view) in enumerate(views, start=1):
+        replay = replay_prefix(instance, k)
+        assert prefix_facts(view, replay.jobs) == prefix_facts(replay, replay.jobs), k
 
 
 def congested_spec(n, m, eps, seed):
@@ -143,7 +145,7 @@ def test_monotonicity_matches_naive_reference():
         for eps in SWEEP_EPSILONS:
             for seed in range(8):
                 instance = generate(congested_spec(14, m, eps, seed))
-                report = check_monotonicity(instance)
+                report = check_monotonicity(simulate(instance))
                 assert fields(report) == fields(ref.check_monotonicity(instance))
                 assert fields(report) == fields(ref.check_monotonicity_full_walk(instance))
                 failing += not report.passed
@@ -157,73 +159,49 @@ def test_monotonicity_matches_naive_reference_on_congested_benchmark_input():
     expected = ("monotonicity", False, Fraction(48, 85), (2, Fraction(43), 39))
     assert fields(ref.check_monotonicity(instance)) == expected
     assert fields(ref.check_monotonicity_full_walk(instance)) == expected
-    assert fields(check_monotonicity(instance)) == expected
+    assert fields(check_monotonicity(simulate(instance))) == expected
 
 
-def forging_prefix(k, forge):
-    """Patches ``analysis.prefix_outcomes`` so that prefix k's outcome is
-    replaced by ``forge(outcome)``."""
-    honest = analysis.prefix_outcomes
-
-    def forged(instance):
-        for n, outcome in enumerate(honest(instance)):
-            yield forge(outcome) if n == k else outcome
-
-    return patch.object(analysis, "prefix_outcomes", forged)
-
-
-def shift_departed_l(before, r):
-    """A job that left before r, and a forgery that moves its L."""
-    h = next((h for h, left in before.L.items() if left < r), None)
-    if h is None:
-        return None
-    return f"job {h}", lambda o: dataclasses.replace(o, L={**o.L, h: o.L[h] + Fraction(1, 7)})
-
-
-def inflate_early_r1_event(before, r):
-    """A mid-run rejection before r, and a forgery that changes its work."""
-    early = [
-        (i, n)
-        for i, events in enumerate(before.r1_events)
-        for n, (t, _, _) in enumerate(events)
-        if t < r
+def start_skips_queue_head(outcome):
+    """A start in mid-run that names the job of the machine's next start,
+    which is not the head of its queue then."""
+    starts = [k for k, rec in enumerate(outcome.events) if rec.kind == "start"]
+    pairs = [
+        (k, nxt)
+        for k in starts
+        if (nxt := next((n for n in starts if n > k and outcome.events[n].machine
+                         == outcome.events[k].machine), None)) is not None
     ]
-    if not early:
-        return None
-    i, n = early[0]
-
-    def forge(outcome):
-        r1 = [list(events) for events in outcome.r1_events]
-        t, h, q = r1[i][n]
-        r1[i][n] = (t, h, q + 1)
-        return dataclasses.replace(outcome, r1_events=r1)
-
-    return f"machine {i}", forge
+    k, nxt = pairs[len(pairs) // 2]
+    events = list(outcome.events)
+    events[k] = dataclasses.replace(events[k], job=events[nxt].job)
+    return dataclasses.replace(outcome, events=events), "starts, but the queue is"
 
 
-@pytest.mark.parametrize("forgery", [shift_departed_l, inflate_early_r1_event])
-def test_reuse_check_rejects_forged_prefix(forgery):
-    # A reused estimate is only sound if its inputs are equal in both
-    # prefixes. Forge one input in one prefix, in the middle of the run:
-    # the check must raise, not report.
-    instance = generate(congested_spec(40, 2, Fraction(1, 2), 1))
-    outcomes = list(prefix_outcomes(instance))
-    candidates = [
-        (k, found)
-        for k, job in enumerate(instance.jobs, start=1)
-        if (found := forgery(outcomes[k - 1], job.release)) is not None
-    ]
-    assert candidates
-    k, (match, forge) = candidates[len(candidates) // 2]
-    with forging_prefix(k, forge), pytest.raises(AssertionError, match=match):
-        check_monotonicity(instance)
+def running_job_is_not_kappa(outcome):
+    """An arrival record in mid-run that says its machine was idle while the
+    log has a job running there."""
+    busy = [j for j, info in outcome.arrivals.items() if info.kappa is not None]
+    j = busy[len(busy) // 2]
+    arrivals = {**outcome.arrivals, j: dataclasses.replace(outcome.arrivals[j], kappa=None)}
+    return dataclasses.replace(outcome, arrivals=arrivals), "its arrival record says None"
+
+
+@pytest.mark.parametrize("forgery", [start_skips_queue_head, running_job_is_not_kappa])
+def test_walk_rejects_forged_trace(forgery):
+    # The prefix runs are derived from the full trace, so the walk must
+    # raise on a trace whose queues and running jobs do not add up, not
+    # report on it.
+    forged, match = forgery(simulate(generate(congested_spec(40, 2, Fraction(1, 2), 1))))
+    with pytest.raises(AssertionError, match=match):
+        check_monotonicity(forged)
 
 
 @settings(max_examples=40, deadline=None)
 @given(instances())
 def test_random_instances_prefixes_match_replay(instance):
     assert_prefixes_match_replay(instance)
-    report = fields(check_monotonicity(instance))
+    report = fields(check_monotonicity(simulate(instance)))
     assert report == fields(ref.check_monotonicity(instance))
     assert report == fields(ref.check_monotonicity_full_walk(instance))
 

@@ -69,7 +69,7 @@ def certify(instance):
     outcome = simulate(instance)
     cert = build_certificate(outcome)
     objs = objectives(cert, outcome)
-    reports = run_all_checks(cert, outcome, objs) + [check_monotonicity(instance)]
+    reports = run_all_checks(cert, outcome, objs) + [check_monotonicity(outcome)]
     return outcome, cert, objs, reports
 
 

@@ -9,10 +9,11 @@ reported margin is the worst value seen.
 
 Every time-indexed quantity here is piecewise linear between a known set of
 breakpoints (event times plus the price curves' own kinks). Checks therefore
-evaluate each segment at its left endpoint, its right endpoint as a left
-limit under the segment's frozen membership, and once at the midpoint, where
-exact linear interpolation is asserted. That makes the finite evaluation
-decide the inequality for all real t.
+evaluate each segment, on its own slope and intercept, at its left endpoint
+and at its right endpoint as a left limit under the segment's frozen
+membership. Dual feasibility asserts exact interpolation at the midpoint,
+and the main inequality raises on a kink strictly inside the segment. That
+makes the finite evaluation decide the inequality for all real t.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "DualCertificate",
     "Objectives",
     "definitive_completion",
-    "fractional_weight",
     "build_certificate",
     "check_dual_feasibility",
     "check_main_inequality",
@@ -125,15 +125,6 @@ class PiecewiseLinear:
             else:
                 yield left, left
 
-    def integral(self) -> Fraction:
-        total = _ZERO
-        pts = self.breakpoints
-        for idx, (a, b) in enumerate(zip(pts, pts[1:])):
-            m = self._slopes[idx]
-            c = self._intercepts[idx]
-            total += m * (b * b - a * a) / 2 + c * (b - a)
-        return total
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -163,18 +154,6 @@ class Objectives:
     primal_lp_cost: Fraction | None
     alg_weighted_flow: Fraction
     sum_w_ctilde: Fraction
-
-
-def fractional_weight(
-    t: Fraction, ctilde: Fraction, p_ij: Fraction, w_j: Fraction, r_j: Fraction
-) -> Fraction:
-    """Weight plateau then linear ramp to zero over the last p_ij of the
-    support [r_j, ctilde); zero outside it."""
-    if not r_j <= t < ctilde:
-        return _ZERO
-    if t <= ctilde - p_ij:
-        return w_j
-    return w_j * (ctilde - t) / p_ij
 
 
 def definitive_completion(outcome: SimOutcome, j: int) -> Fraction:
@@ -315,51 +294,60 @@ def check_dual_feasibility(cert: DualCertificate, outcome: SimOutcome) -> CheckR
     interpolation-checked midpoint per segment decide all t. Once the right
     side alone dominates alpha_j/p_ij the remaining tail passes for free.
 
-    The walk starts at r_j and then visits the breakpoints after r_j by
-    index from a bisection, stopping at the cutoff. A pair therefore costs
-    O(log B + k) for B breakpoints and k points visited before the cutoff,
-    usually one or two.
+    Each point is evaluated on its known segment: a per-machine index that
+    only moves forward over the jobs in release order replaces bisection.
+    A pair costs O(1) plus the points before the cutoff, usually none.
     """
     worst = _Worst()
+    # Per machine, beta's (slope, intercept) just left of each breakpoint,
+    # and zero beyond the last: segs[k] holds where k breakpoints are <= t.
+    zero = (_ZERO, _ZERO)
+    segs = [[zero, *zip(beta._slopes, beta._intercepts), zero] for beta in cert.beta]
+    below = [0] * len(segs)  # per machine: breakpoints at or before the release
     for job in outcome.instance.jobs:
-        for i in range(outcome.instance.machines):
-            p = job.proc[i]
-            w = job.weight
-            r = job.release
-            a_over_p = cert.alpha[job.id] / p
-            beta = cert.beta[i]
-
-            def lhs_minus_rhs(t: Fraction, left: bool = False) -> Fraction:
-                b = beta.value_left(t) if left else beta.value(t)
-                return a_over_p - b - w * (t - r) / p - 21 * w
-
-            # Beyond this point the constraint holds even with zero price.
-            cutoff = r + cert.alpha[job.id] / w - 21 * p
+        r = job.release
+        w = job.weight
+        w21 = 21 * w
+        for i, beta in enumerate(cert.beta):
             points = beta.breakpoints
-            k = bisect_right(points, r)
-            prev: Fraction | None = None
-            t = r
-            while True:
-                if prev is not None:
-                    worst.offer(lhs_minus_rhs(t, left=True), (i, t, job.id))
-                    mid = (prev + t) / 2
-                    interp = (lhs_minus_rhs(prev) + lhs_minus_rhs(t, left=True)) / 2
-                    if lhs_minus_rhs(mid) != interp:
-                        raise AssertionError(
-                            f"price curve not linear on [{prev}, {t}) for machine {i}"
-                        )
-                worst.offer(lhs_minus_rhs(t), (i, t, job.id))
-                if t >= cutoff or k == len(points):
-                    break
-                prev, t = t, points[k]
+            k = below[i]
+            while k < len(points) and points[k] <= r:
+                k += 1
+            below[i] = k
+            p = job.proc[i]
+            # lhs - rhs at t is free - beta(t), free = const - w(t - r)/p;
+            # past free <= 0 the constraint holds even with zero price.
+            free = const = cert.alpha[job.id] / p - w21
+            w_p = w / p
+            m, c = segs[i][k]
+            value = free - (m * r + c)
+            worst.offer(value, (i, r, job.id))
+            prev = r
+            while free > 0 and k < len(points):
+                t = points[k]
+                free = const - w_p * (t - r)
+                m, c = segs[i][k]
+                left = free - (m * t + c)
+                worst.offer(left, (i, t, job.id))
+                mid = (prev + t) / 2
+                if 2 * (const - w_p * (mid - r) - (m * mid + c)) != value + left:
+                    raise AssertionError(
+                        f"price curve not linear on [{prev}, {t}) for machine {i}"
+                    )
+                m, c = segs[i][k + 1]
+                value = free - (m * t + c)
+                worst.offer(value, (i, t, job.id))
+                prev = t
                 k += 1
     return worst.report("dual_feasibility")
 
 
-def _wf_of(outcome: SimOutcome, cert: DualCertificate, h: int, i: int, t: Fraction) -> Fraction:
-    """Fractional weight of job h on machine i at t, zero outside its support."""
-    job = outcome.jobs[h]
-    return fractional_weight(t, cert.ctilde[h], job.proc[i], job.weight, job.release)
+def _fw_terms(job: JobSpec, i: int, ct: Fraction, scale) -> tuple:
+    """(ramp start, ct, ramp slope, ramp intercept, plateau) of ``job``'s
+    fractional weight on machine i times ``scale``, given its estimate ct."""
+    p = job.proc[i]
+    w_p = job.weight * scale / p
+    return ct - p, ct, -w_p, w_p * ct, job.weight * scale
 
 
 def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckReport:
@@ -367,14 +355,12 @@ def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckRe
     density-scaled remainder, must stay within 1/eps times the fractional
     weight of already-rejected jobs still in the accounting.
 
-    The grid is the event times and the price curve's breakpoints. The
-    rejected jobs, sorted by release, enter an active set once released and
-    leave it at their completion estimate. A segment therefore costs a
-    snapshot lookup plus the size of its queue and its active set, not a
-    rescan of every rejected job: O(G log G) per machine for G grid points
-    while queues stay short.
+    The grid is the event times and the price curve's breakpoints. On a
+    segment [a, b) the value is S*t + I, summed from per-job coefficients
+    and the snapshot that a pointer walk keeps, and evaluated at a and b. A
+    ramp start or estimate strictly inside (a, b) raises AssertionError.
     """
-    eps = outcome.instance.epsilon
+    scale = -1 / outcome.instance.epsilon
     jobs = outcome.jobs
     worst = _Worst()
     event_times = outcome.event_times()
@@ -391,36 +377,44 @@ def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckRe
         if not grid:
             continue
         grid.append(grid[-1] + 1)
-        members_r: list[int] = []
+        terms_r = [_fw_terms(jobs[h], i, cert.ctilde[h], scale) for h in rejected_here]
+        terms_v: dict[int, tuple] = {}
+        snaps = outcome.snapshots[i]
+        seen = 0  # snapshots at or before a
+        members_r: list[tuple] = []
         released = 0
         for a, b in zip(grid, grid[1:]):
-            snap = outcome.state_at(i, a)
-            run_job = jobs[snap.running] if snap.running is not None else None
-            members_v = list(snap.pending)
+            while seen < len(snaps) and snaps[seen].time <= a:
+                seen += 1
+            slope, intercept = _ZERO, _ZERO
+            members_v = []
+            if seen:
+                snap = snaps[seen - 1]
+                intercept = -snap.W
+                if snap.running is not None:
+                    run_job = jobs[snap.running]
+                    slope = -density(run_job, i)
+                    intercept -= slope * (run_job.proc[i] + snap.run_start)
+                for h in snap.pending:
+                    if h not in terms_v:
+                        terms_v[h] = _fw_terms(jobs[h], i, cert.ctilde[h], 1)
+                    members_v.append(terms_v[h])
             while released < len(rejected_here) and jobs[rejected_here[released]].release <= a:
-                members_r.append(rejected_here[released])
+                members_r.append(terms_r[released])
                 released += 1
-            members_r = [h for h in members_r if a < cert.ctilde[h]]
-
-            def value(t: Fraction) -> Fraction:
-                total = -snap.W
-                if run_job is not None:
-                    q = run_job.proc[i] - (t - snap.run_start)
-                    total += density(run_job, i) * q
-                for h in members_v:
-                    total += _wf_of(outcome, cert, h, i, t)
-                rhs = sum((_wf_of(outcome, cert, h, i, t) for h in members_r), _ZERO)
-                return total - rhs / eps
-
-            va = value(a)
-            vb = value(b)
-            mid = (a + b) / 2
-            if value(mid) * 2 != va + vb:
-                raise AssertionError(
-                    f"machine {i}: inequality terms not linear on [{a}, {b})"
-                )
-            worst.offer(va, (i, a, None))
-            worst.offer(vb, (i, b, None))
+            members_r = [terms for terms in members_r if a < terms[1]]
+            for start, ct, m, c, plateau in members_v + members_r:
+                if start >= b:
+                    intercept += plateau
+                elif ct <= a:
+                    continue
+                elif start <= a and ct >= b:
+                    slope += m
+                    intercept += c
+                else:
+                    raise AssertionError(f"machine {i}: inequality terms not linear on [{a}, {b})")
+            worst.offer(slope * a + intercept, (i, a, None))
+            worst.offer(slope * b + intercept, (i, b, None))
     return worst.report("main_inequality")
 
 
@@ -436,73 +430,73 @@ def check_weight_balance(outcome: SimOutcome) -> CheckReport:
     the 1/eps mass b3 at the job's release, the departed work b1 or b2 once
     it has also left (L). The ledger is therefore one sweep over the event
     times through the jobs' steps sorted by time, plus the live-budget term
-    read off the snapshot: O((n + T) log(n + T)) per machine for n
-    dispatched jobs and T event times, not O(n T).
+    read off the snapshot that a pointer walk keeps: O(n log n + T) per
+    machine for n dispatched jobs and T event times, not O(n T).
     """
     eps = outcome.instance.epsilon
+    eps2 = eps * eps
     jobs = outcome.jobs
     worst = _Worst()
     times = outcome.event_times()
     for i in range(outcome.instance.machines):
         dispatched = [j for j in outcome.instance.jobs if outcome.machine_of.get(j.id) == i]
         steps: list[tuple[Fraction, Fraction]] = []
+        end_lhs = total_wp = _ZERO
         for job in dispatched:
             info = outcome.arrivals[job.id]
             nu_before = info.v_before[-1] if info.v_before else None
             nu_after = info.v_after[-1] if info.v_after else None
             p_ij = job.proc[i]
-            d1 = d2 = _ZERO
+            wp = job.weight * p_ij
+            total_wp += wp
+            step = -wp / eps  # b3
             if job.id not in info.r2:
-                d1 += eps * eps * info.w_after * p_ij
+                budget = eps2 * info.w_after * p_ij
+                end_lhs += budget
+                step += budget
                 if (
                     nu_before is not None
                     and nu_after == job.id
                     and p_ij < eps * jobs[nu_before].proc[i]
                 ):
-                    d1 -= job.weight * jobs[nu_before].proc[i]
+                    step -= job.weight * jobs[nu_before].proc[i]
             elif len(info.r2) == 1:
                 if nu_after is not None:
-                    d2 += job.weight * jobs[nu_after].proc[i]
+                    step -= job.weight * jobs[nu_after].proc[i]
             elif nu_before is not None:
-                d2 += jobs[nu_before].weight * jobs[nu_before].proc[i]
-            b3 = job.weight * p_ij / eps
-            steps.append((job.release, d1 - d2 - b3))
+                step -= jobs[nu_before].weight * jobs[nu_before].proc[i]
+            steps.append((job.release, step))
             # Departed work: b1 if weight-gap rejected, else b2 (completion or
             # mid-run rejection). It counts once the job is released and gone.
-            steps.append((max(job.release, outcome.L[job.id]), -job.weight * p_ij))
+            steps.append((max(job.release, outcome.L[job.id]), -wp))
         steps.sort(key=lambda step: step[0])
         ledger = _ZERO
         done = 0
+        snaps = outcome.snapshots[i]
+        seen = 0  # snapshots at or before t
         for t in times:
             while done < len(steps) and steps[done][0] <= t:
                 ledger += steps[done][1]
                 done += 1
-            snap = outcome.state_at(i, t)
+            while seen < len(snaps) and snaps[seen].time <= t:
+                seen += 1
             margin = ledger
-            if snap.pending:
+            if seen and snaps[seen - 1].pending:
+                snap = snaps[seen - 1]
                 margin -= eps * snap.W * jobs[snap.pending[-1]].proc[i]
             worst.offer(margin, (i, t, None))
-        end_lhs = sum(
-            (
-                eps * eps * outcome.arrivals[j.id].w_after * j.proc[i]
-                for j in dispatched
-                if j.id not in outcome.arrivals[j.id].r2
-            ),
-            _ZERO,
-        )
-        end_rhs = sum((j.weight * j.proc[i] for j in dispatched), _ZERO) * 5 / eps
-        worst.offer(end_lhs - end_rhs, (i, None, None))
+        worst.offer(end_lhs - total_wp * 5 / eps, (i, None, None))
     return worst.report("weight_balance")
 
 
-def check_alpha_lower_bound(cert: DualCertificate, outcome: SimOutcome) -> CheckReport:
+def check_alpha_lower_bound(
+    cert: DualCertificate, outcome: SimOutcome, objs: Objectives
+) -> CheckReport:
+    """The estimate-weighted flow ``objs.sum_w_ctilde`` must stay within
+    (1 + eps)/eps times the dispatch charges."""
     eps = outcome.instance.epsilon
     total_alpha = sum(cert.alpha.values(), _ZERO)
-    weighted_span = sum(
-        (j.weight * (cert.ctilde[j.id] - j.release) for j in outcome.instance.jobs),
-        _ZERO,
-    )
-    margin = weighted_span - (1 + eps) / eps * total_alpha
+    margin = objs.sum_w_ctilde - (1 + eps) / eps * total_alpha
     return CheckReport("alpha_lower_bound", margin <= 0, margin, None)
 
 
@@ -562,10 +556,20 @@ def objectives(cert: DualCertificate, outcome: SimOutcome) -> Objectives:
     """Objective values of the run: certified dual objective, slot-based
     cost of the realized schedule (integer grid only, else None), realized
     weighted flow of completed jobs, and the estimate-weighted flow of all
-    jobs."""
-    dual = sum(cert.alpha.values(), _ZERO) - sum(
-        (b.integral() for b in cert.beta), _ZERO
-    )
+    jobs.
+
+    The dual objective is the charges minus the area under the price
+    curves, summed per job: c_beta w_j (ctilde - r_j - p_ij / 2), or
+    c_beta w_j (ctilde - r_j)^2 / (2 p_ij) when the ramp starts at r_j."""
+    swc = area = _ZERO  # area: twice the area under the curves, over c_beta
+    for job in outcome.instance.jobs:
+        span = cert.ctilde[job.id] - job.release
+        w_span = job.weight * span
+        swc += w_span
+        if span > 0:
+            p = job.proc[outcome.machine_of[job.id]]
+            area += 2 * w_span - job.weight * p if span >= p else w_span * span / p
+    dual = sum(cert.alpha.values(), _ZERO) - cert.c_beta * area / 2
     primal: Fraction | None = None
     if outcome.instance.integer_grid:
         primal = _ZERO
@@ -576,10 +580,6 @@ def objectives(cert: DualCertificate, outcome: SimOutcome) -> Objectives:
             start = outcome.S[job.id]
             p = job.proc[outcome.machine_of[job.id]]
             primal += _slot_cost(job.weight, job.release, start, p)
-    swc = sum(
-        (j.weight * (cert.ctilde[j.id] - j.release) for j in outcome.instance.jobs),
-        _ZERO,
-    )
     return Objectives(
         dual_obj=dual,
         primal_lp_cost=primal,
@@ -747,6 +747,6 @@ def run_all_checks(
         check_dual_feasibility(cert, outcome),
         check_main_inequality(cert, outcome),
         check_weight_balance(outcome),
-        check_alpha_lower_bound(cert, outcome),
+        check_alpha_lower_bound(cert, outcome, objs),
         check_theorem_chain(cert, outcome, objs),
     ]

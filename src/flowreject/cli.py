@@ -218,17 +218,28 @@ def _override_epsilon(instance: Instance, epsilon: str | None) -> Instance:
     )
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_int(text: str, source: str) -> int:
+    """An integer from a flag or a config line, written canonically: an
+    optional minus sign and ASCII digits with no leading zero."""
     try:
-        lo, _, hi = text.partition(":")
-        return parse_integer(lo), parse_integer(hi)
-    except ValueError as exc:
-        raise CliError(f"bad range {text!r}, expected LO:HI") from exc
+        value = parse_integer(text)
+    except ValueError:
+        raise CliError(f"{source}: expected an integer, got {text!r}") from None
+    if str(value) != text:
+        raise CliError(f"{source}: integer not canonical: {text!r}, write '{value}'")
+    return value
+
+
+def _parse_range(text: str, source: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise CliError(f"{source}: bad range {text!r}, expected LO:HI")
+    return _parse_int(lo, source), _parse_int(hi, source)
 
 
 def _workload_from(args) -> WorkloadSpec:
-    p_lo, p_hi = _parse_range(args.p_range)
-    w_lo, w_hi = _parse_range(args.w_range)
+    p_lo, p_hi = args.p_range
+    w_lo, w_hi = args.w_range
     try:
         return WorkloadSpec(
             n=args.n,
@@ -358,11 +369,13 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 _INT_KEYS = {"n", "m", "mean_interarrival", "seed", "count", "oracle_limit"}
+_RANGE_KEYS = {"p_range", "w_range"}
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Applies flag > config > default precedence to every known option and
-    parses the integer ones, from whichever source, with ``parse_integer``."""
+    parses the integer and range ones, from whichever source, with
+    ``_parse_int``. A negative oracle limit is a usage error."""
     config = _load_config(getattr(args, "config", None))
     for key, default in _DEFAULTS.items():
         if not hasattr(args, key):
@@ -375,10 +388,13 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             if key == "epsilon" and hasattr(args, "instance"):
                 continue  # no flag and no config entry: keep the instance file's value
             raw = default
-        try:
-            setattr(args, key, parse_integer(raw) if key in _INT_KEYS else raw)
-        except ValueError:
-            raise CliError(f"{source}: expected an integer, got {raw!r}") from None
+        if key in _INT_KEYS:
+            value = _parse_int(raw, source)
+            if key == "oracle_limit" and value < 0:
+                raise CliError(f"{source}: must be at least 0, got {value}")
+            setattr(args, key, value)
+        else:
+            setattr(args, key, _parse_range(raw, source) if key in _RANGE_KEYS else raw)
     return args
 
 

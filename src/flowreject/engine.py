@@ -28,10 +28,8 @@ is the full run up to job k's arrival, then a drain in queue order.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable
 
 from .instance import Instance, JobSpec
@@ -145,9 +143,6 @@ class Snapshot:
     W: Fraction
 
 
-_EMPTY_SNAPSHOT = Snapshot(Fraction(0), (), None, None, Fraction(0))
-
-
 @dataclass
 class SimOutcome:
     """Complete trace of one simulation run.
@@ -173,12 +168,6 @@ class SimOutcome:
     weighted_flow_completed: Fraction = Fraction(0)
     rejected_weight_preempt: Fraction = Fraction(0)
     rejected_weight_weight_gap: Fraction = Fraction(0)
-
-    def state_at(self, machine: int, t: Fraction) -> Snapshot:
-        """Machine state at time t, right-continuous across events."""
-        snaps = self.snapshots[machine]
-        idx = bisect_right(snaps, t, key=attrgetter("time"))
-        return snaps[idx - 1] if idx else _EMPTY_SNAPSHOT
 
     def event_times(self) -> list[Fraction]:
         out: list[Fraction] = []
@@ -260,14 +249,15 @@ class _Simulator:
         jobs = self.instance.jobs
         cursor = 0
         while True:
-            times = [t for m in self.machines if (t := m.completion_time(self.jobs)) is not None]
+            ends = [m.completion_time(self.jobs) for m in self.machines]
+            times = [t for t in ends if t is not None]
             if cursor < len(jobs):
                 times.append(jobs[cursor].release)
             if not times:
                 break
             now = min(times)
-            for m in self.machines:
-                if m.completion_time(self.jobs) == now:
+            for m, end in zip(self.machines, ends):
+                if end is not None and end == now:
                     self._complete(m, now)
             self._r1_this_stamp: set[int] = set()
             while cursor < len(jobs) and jobs[cursor].release == now:

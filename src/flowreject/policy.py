@@ -53,6 +53,9 @@ ZERO_BUDGET_BRANCHES = frozenset(
 )
 
 
+_ZERO = Fraction(0)
+
+
 class RhoUndefined(ValueError):
     """Raised when the budget split index is requested outside its domain."""
 
@@ -137,23 +140,27 @@ def weight_gap_reject(
     The new budget is max(0, W_before + w_j - sum of rejected weights over
     epsilon). Inputs are never mutated.
     """
-    joined = sorted(list(V_before) + [j], key=lambda job: queue_key(job, machine))
+    if V_before:
+        joined = sorted([*V_before, j], key=lambda job: queue_key(job, machine))
+        j_pos = next(k for k, job in enumerate(joined) if job.id == j.id)
+    else:
+        joined, j_pos = [j], 0
     nu = len(joined)
-    j_pos = next(k for k, job in enumerate(joined) if job.id == j.id)
     weights = [job.weight for job in joined]
-    target = epsilon * (W_before + j.weight)
+    budget = W_before + j.weight
+    target = epsilon * budget
 
     # Smallest 1-based s with suffix weight sum <= target; None if w_nu > target.
     s: int | None = None
     if weights[-1] <= target:
-        acc = Fraction(0)
+        acc = _ZERO
         s = nu + 1
         for k in range(nu - 1, -1, -1):
-            if acc + weights[k] <= target:
-                acc += weights[k]
-                s = k + 1
-            else:
+            grown = acc + weights[k]
+            if grown > target:
                 break
+            acc = grown
+            s = k + 1
 
     updates: dict[int, Fraction] = {}
     if s is None:
@@ -170,7 +177,7 @@ def weight_gap_reject(
                 rejected_idx = range(0, 0)
                 branch = "no-s/p-large"
             else:
-                count = counters.get(prev.id, Fraction(0)) + j.weight
+                count = counters.get(prev.id, _ZERO) + j.weight
                 updates[prev.id] = count
                 if count >= prev.weight:
                     rejected_idx = range(nu - 2, nu)
@@ -190,7 +197,7 @@ def weight_gap_reject(
             rejected_idx = range(s - 1, nu)
             branch = "s/j-inside-only-suffix"
         else:
-            count = counters.get(prev.id, Fraction(0)) + j.weight
+            count = counters.get(prev.id, _ZERO) + j.weight
             updates[prev.id] = count
             if count >= prev.weight:
                 rejected_idx = range(s - 2, nu)
@@ -200,10 +207,11 @@ def weight_gap_reject(
                 branch = "s/j-inside-only-suffix"
 
     rejected = tuple(joined[k].id for k in rejected_idx)
-    rejected_weight = sum((joined[k].weight for k in rejected_idx), Fraction(0))
-    new_w = W_before + j.weight - rejected_weight / epsilon
+    new_w = budget
+    if rejected:
+        new_w -= sum((joined[k].weight for k in rejected_idx), _ZERO) / epsilon
     if new_w < 0:
-        new_w = Fraction(0)
+        new_w = _ZERO
     return WeightGapDecision(
         rejected=rejected, new_w=new_w, branch=branch, counter_updates=updates
     )
@@ -220,10 +228,10 @@ def compute_rho(V_before: Sequence[JobSpec], W_prime: Fraction) -> int:
     """
     if not V_before:
         raise RhoUndefined("queue is empty")
-    total = sum((job.weight for job in V_before), Fraction(0))
+    total = sum((job.weight for job in V_before), _ZERO)
     if not 0 <= W_prime < total:
         raise RhoUndefined(f"budget {W_prime} outside [0, {total})")
-    acc = Fraction(0)
+    acc = _ZERO
     rho = len(V_before) + 1
     for k in range(len(V_before) - 1, -1, -1):
         if acc + V_before[k].weight <= W_prime:
@@ -260,37 +268,38 @@ def compute_alpha_ij(
     V_before = [jobs[h] for h in snapshot.pending]
     w = j.weight
     p = j.proc[machine]
-    d_j = density(j, machine)
 
-    ahead = Fraction(0)
-    behind = Fraction(0)
-    for job in V_before:
-        if density(job, machine) >= d_j:
-            ahead += job.proc[machine]
-        else:
-            behind += job.weight
-    main = 20 * w * p / epsilon + w * ahead + w * p + p * behind
+    main = w * p * (20 / epsilon + 1)
+    if V_before:
+        d_j = density(j, machine)
+        ahead = behind = _ZERO
+        for job in V_before:
+            if density(job, machine) >= d_j:
+                ahead += job.proc[machine]
+            else:
+                behind += job.weight
+        main += w * ahead + p * behind
 
     dec = weight_gap_reject(V_before, snapshot.W, snapshot.count2, j, epsilon, machine)
     w_prime = dec.new_w
     if dec.rejected == (j.id,):
-        total_w = sum((job.weight for job in V_before), Fraction(0))
+        total_w = sum((job.weight for job in V_before), _ZERO)
         if w_prime >= total_w:
             # Budget covers the whole queue; the interpolation degenerates to
             # the full queue's processing time.
-            rebate = w * sum((job.proc[machine] for job in V_before), Fraction(0))
+            rebate = w * sum((job.proc[machine] for job in V_before), _ZERO)
         else:
             rho = compute_rho(V_before, w_prime)
             suffix = V_before[rho - 1 :]
-            suffix_p = sum((job.proc[machine] for job in suffix), Fraction(0))
-            suffix_w = sum((job.weight for job in suffix), Fraction(0))
+            suffix_p = sum((job.proc[machine] for job in suffix), _ZERO)
+            suffix_w = sum((job.weight for job in suffix), _ZERO)
             edge = V_before[rho - 2]
             rebate = w * (suffix_p + (w_prime - suffix_w) * edge.proc[machine] / edge.weight)
     elif len(dec.rejected) == 2 and j.id in dec.rejected:
-        rebate = w * sum((jobs[h].proc[machine] for h in dec.rejected), Fraction(0))
+        rebate = w * sum((jobs[h].proc[machine] for h in dec.rejected), _ZERO)
     else:
-        rejected_w = sum((jobs[h].weight for h in dec.rejected), Fraction(0))
-        rebate = p * rejected_w + epsilon * epsilon * w_prime * p
+        rejected_w = sum((jobs[h].weight for h in dec.rejected), _ZERO)
+        rebate = p * (rejected_w + epsilon * epsilon * w_prime)
     return main - rebate, dec
 
 
@@ -310,6 +319,6 @@ def dispatch(
         raise ValueError("dispatch requires at least one machine")
     scored = [compute_alpha_ij(state, j, jobs, epsilon) for state in machines]
     alphas = [alpha for alpha, _ in scored]
-    best = min(range(len(alphas)), key=lambda i: (alphas[i], i))
+    best = min(range(len(alphas)), key=alphas.__getitem__)  # the first of equals
     alpha_j = epsilon / (1 + epsilon) * alphas[best]
     return best, alpha_j, alphas, scored[best][1]

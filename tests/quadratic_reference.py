@@ -4,8 +4,12 @@ Kept unchanged as the reference for the differential tests: the price-curve
 construction re-sums every piece per segment, weight balance re-sums every
 dispatched job at every event time, dual feasibility filters the whole
 breakpoint list per (job, machine) pair, and the main inequality rescans the
-rejected jobs per segment. They share only the leaf helpers ``_Worst`` (the
-first strict maximum wins) and ``_wf_of`` with the fast code.
+rejected jobs per segment and evaluates every term at each segment's ends
+and midpoint. They share only the leaf helper ``_Worst`` (the first strict
+maximum wins) with the fast code. The helpers that only these references
+use live here too: ``fractional_weight`` by value, ``state_at`` by
+bisection over the snapshots, and ``integral``, the area under a price
+curve summed over its segments.
 
 ``check_monotonicity`` is the naive prefix check: it simulates each prefix
 from scratch with ``replay_prefix`` and evaluates both curves by bisection.
@@ -18,7 +22,9 @@ the same runs field for field.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 from flowreject.analysis import (
@@ -26,13 +32,49 @@ from flowreject.analysis import (
     DualCertificate,
     PiecewiseLinear,
     _Worst,
-    _wf_of,
     build_certificate,
 )
-from flowreject.engine import SimOutcome, replay_prefix
+from flowreject.engine import SimOutcome, Snapshot, replay_prefix
 from flowreject.instance import Instance, density
 
 _ZERO = Fraction(0)
+_EMPTY_SNAPSHOT = Snapshot(_ZERO, (), None, None, _ZERO)
+
+
+def fractional_weight(
+    t: Fraction, ctilde: Fraction, p_ij: Fraction, w_j: Fraction, r_j: Fraction
+) -> Fraction:
+    """Weight plateau then linear ramp to zero over the last p_ij of the
+    support [r_j, ctilde); zero outside it."""
+    if not r_j <= t < ctilde:
+        return _ZERO
+    if t <= ctilde - p_ij:
+        return w_j
+    return w_j * (ctilde - t) / p_ij
+
+
+def _wf_of(outcome: SimOutcome, cert: DualCertificate, h: int, i: int, t: Fraction) -> Fraction:
+    """Fractional weight of job h on machine i at t, zero outside its support."""
+    job = outcome.jobs[h]
+    return fractional_weight(t, cert.ctilde[h], job.proc[i], job.weight, job.release)
+
+
+def state_at(outcome: SimOutcome, machine: int, t: Fraction) -> Snapshot:
+    """Machine state at time t, right-continuous across events."""
+    snaps = outcome.snapshots[machine]
+    idx = bisect_right(snaps, t, key=attrgetter("time"))
+    return snaps[idx - 1] if idx else _EMPTY_SNAPSHOT
+
+
+def integral(curve: PiecewiseLinear) -> Fraction:
+    """The area under a price curve, summed over its segments."""
+    total = _ZERO
+    pts = curve.breakpoints
+    for idx, (a, b) in enumerate(zip(pts, pts[1:])):
+        m = curve._slopes[idx]
+        c = curve._intercepts[idx]
+        total += m * (b * b - a * a) / 2 + c * (b - a)
+    return total
 
 
 class ReferencePiecewiseLinear(PiecewiseLinear):
@@ -118,7 +160,7 @@ def check_main_inequality(cert: DualCertificate, outcome: SimOutcome) -> CheckRe
             continue
         grid.append(grid[-1] + 1)
         for a, b in zip(grid, grid[1:]):
-            snap = outcome.state_at(i, a)
+            snap = state_at(outcome, i, a)
             run_job = jobs[snap.running] if snap.running is not None else None
             members_v = list(snap.pending)
             members_r = [
@@ -194,7 +236,7 @@ def check_weight_balance(outcome: SimOutcome) -> CheckReport:
                     # Departed by completion or mid-run rejection.
                     b2 += job.weight * p_ij
                 b3 += job.weight * p_ij / eps
-            snap = outcome.state_at(i, t)
+            snap = state_at(outcome, i, t)
             if snap.pending:
                 b2 += eps * snap.W * jobs[snap.pending[-1]].proc[i]
             worst.offer(d1 - d2 - (b1 + b2 + b3), (i, t, None))

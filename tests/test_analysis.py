@@ -16,7 +16,6 @@ from flowreject.analysis import (
     check_theorem_chain,
     check_weight_balance,
     definitive_completion,
-    fractional_weight,
     objectives,
     run_all_checks,
     slot_lp_cost,
@@ -28,6 +27,7 @@ from flowreject.instance import JobSpec, make_instance
 from flowreject.rational import format_rational
 
 from conftest import FIXTURES
+from quadratic_reference import fractional_weight, integral
 
 HALF = Fraction(1, 2)
 
@@ -56,7 +56,7 @@ def test_piecewise_linear_evaluation():
     assert fn.value(Fraction(5)) == 0
     assert fn.value_left(Fraction(2)) == 4
     assert fn.value_left(Fraction(5)) == 4
-    assert fn.integral() == Fraction(4) + Fraction(12)
+    assert integral(fn) == Fraction(4) + Fraction(12)
 
 
 def test_piecewise_linear_overlapping_pieces_sum():
@@ -67,7 +67,7 @@ def test_piecewise_linear_overlapping_pieces_sum():
     assert fn.value(Fraction(0)) == 1
     assert fn.value(Fraction(2)) == 3
     assert fn.value(Fraction(3)) == 1
-    assert fn.integral() == 4 + 4
+    assert integral(fn) == 4 + 4
 
 
 # --- fractional weight ---
@@ -173,7 +173,7 @@ def test_certificate_idle_machine_has_zero_beta():
     assert set(out.machine_of.values()) == {0}
     cert = build_certificate(out)
     assert cert.beta[1].breakpoints == []
-    assert cert.beta[1].integral() == 0
+    assert integral(cert.beta[1]) == 0
     assert cert.beta[1].value(Fraction(1)) == 0
 
 
@@ -253,7 +253,7 @@ def test_structural_check_detects_forged_branch(e1_outcome):
 def test_weight_balance_and_alpha_bound_on_e1(e1_outcome):
     cert = build_certificate(e1_outcome)
     assert check_weight_balance(e1_outcome).passed
-    assert check_alpha_lower_bound(cert, e1_outcome).passed
+    assert check_alpha_lower_bound(cert, e1_outcome, objectives(cert, e1_outcome)).passed
 
 
 def test_theorem_chain_margin_on_e1(e1_outcome):

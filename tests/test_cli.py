@@ -373,6 +373,13 @@ class TestUsage:
             ["gen", "--epsilon", "02/8"],
             ["sweep", "--count", "1", "--epsilons", "1/4,+1/2"],
             ["run", E1, "--config", "{tmp}/eps.cfg"],
+            ["gen", "--n", "02"],
+            ["gen", "--seed", "+7"],
+            ["gen", "--p-range", "+1:010"],
+            ["gen", "--config", "{tmp}/zero.cfg"],
+            ["sweep", "--n", "3", "--count", "1", "--oracle-limit", "-1"],
+            ["oracle", E1, "--oracle-limit", "-3"],
+            ["sweep", "--n", "3", "--count", "1", "--config", "{tmp}/limit.cfg"],
         ],
     )
     def test_bad_usage_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
@@ -380,6 +387,8 @@ class TestUsage:
         (tmp_path / "typo.cfg").write_text("n = 3\nsede=5\n")
         (tmp_path / "eps.cfg").write_text("epsilon = 2/4\n")
         (tmp_path / "underscore.cfg").write_text("n = 1_0\n")
+        (tmp_path / "zero.cfg").write_text("n = 02\n")
+        (tmp_path / "limit.cfg").write_text("oracle-limit = -2\n")
         (tmp_path / "arabic.cfg").write_text("seed = \u0661\n", encoding="utf-8")
         # A UTF-16 byte-order mark is not valid UTF-8.
         (tmp_path / "utf16.cfg").write_bytes(b"\xff\xfes\x00")

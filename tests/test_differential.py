@@ -26,6 +26,7 @@ from flowreject.analysis import (
     check_main_inequality,
     check_monotonicity,
     check_weight_balance,
+    objectives,
 )
 from flowreject.engine import replay_prefix, simulate
 from flowreject.generate import WorkloadSpec, generate
@@ -60,6 +61,11 @@ def assert_matches_reference(outcome):
     ref_cert = reference_certificate(outcome)
     assert [curve(b) for b in cert.beta] == [curve(b) for b in ref_cert.beta]
     assert_checks_match(outcome, cert, ref_cert)
+    # The dual objective, from per-job areas, against the curves' integrals.
+    dual = sum(cert.alpha.values(), Fraction(0)) - sum(
+        (ref.integral(b) for b in ref_cert.beta), Fraction(0)
+    )
+    assert objectives(cert, outcome).dual_obj == dual
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -231,6 +237,80 @@ def test_walk_matches_bisection(piece_list, extra):
 
 def congested_outcome():
     return simulate(generate(congested_spec(40, 2, Fraction(1, 4), 3)))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 4)])
+def test_long_queues_match_reference(eps):
+    # One machine with work arriving as fast as it is done: queues of 20 to
+    # 50 jobs, many weight-gap rejections, and charges large enough that
+    # dual feasibility walks past the release.
+    for seed in (0, 1, 2):
+        outcome = simulate(generate(congested_spec(120, 1, eps, seed)))
+        assert max(len(s.pending) for s in outcome.snapshots[0]) >= 20
+        assert_matches_reference(outcome)
+
+
+def queued_segment(outcome, cert):
+    """A grid segment [a, b) of machine 0 and a job queued on it."""
+    grid = sorted(set(outcome.event_times()) | set(cert.beta[0].breakpoints))
+    for a, b in zip(grid, grid[1:]):
+        pending = ref.state_at(outcome, 0, a).pending
+        if pending:
+            return a, b, outcome.jobs[pending[-1]]
+    raise AssertionError("no job is ever queued on machine 0")
+
+
+@pytest.mark.parametrize("kink", ["ramp_start", "estimate"])
+def test_main_inequality_rejects_kink_inside_segment(kink):
+    # Move one queued job's estimate so that its ramp start, or the estimate
+    # itself, falls strictly inside a grid segment. The price curves, and so
+    # the grid, stay as they were, so its term bends inside the segment.
+    outcome = congested_outcome()
+    cert = build_certificate(outcome)
+    a, b, job = queued_segment(outcome, cert)
+    mid = (a + b) / 2
+    ct = mid + job.proc[0] if kink == "ramp_start" else mid
+    assert a < ct - job.proc[0] < b if kink == "ramp_start" else a < ct < b
+    forged = dataclasses.replace(cert, ctilde={**cert.ctilde, job.id: ct})
+    with pytest.raises(AssertionError, match="inequality terms not linear"):
+        check_main_inequality(forged, outcome)
+
+
+def test_main_inequality_estimate_at_release_matches_reference():
+    # A queued job whose estimate is forged down to its release has no
+    # support left: its term is zero on every segment, as in the reference.
+    outcome = congested_outcome()
+    cert = build_certificate(outcome)
+    _, _, job = queued_segment(outcome, cert)
+    forged = dataclasses.replace(cert, ctilde={**cert.ctilde, job.id: job.release})
+    assert fields(check_main_inequality(forged, outcome)) == fields(
+        ref.check_main_inequality(forged, outcome)
+    )
+
+
+def test_dual_objective_matches_integral_on_short_estimates():
+    # Estimates below r + p, where the ramp starts at the release, and
+    # estimates at or before the release, with no area; the curves are
+    # rebuilt from them, so the per-job areas must equal their integrals.
+    outcome = congested_outcome()
+    cert = build_certificate(outcome)
+    ctilde = dict(cert.ctilde)
+    jobs = outcome.instance.jobs
+    for k, job in enumerate(jobs):
+        p = job.proc[outcome.machine_of[job.id]]
+        ctilde[job.id] = [job.release + p / 3, job.release, job.release - 1, ctilde[job.id]][k % 4]
+    beta = [
+        PiecewiseLinear(
+            piece
+            for job in jobs
+            if outcome.machine_of[job.id] == i
+            for piece in analysis._price_pieces(job, i, ctilde[job.id], cert.c_beta)
+        )
+        for i in range(outcome.instance.machines)
+    ]
+    forged = dataclasses.replace(cert, ctilde=ctilde, beta=beta)
+    dual = sum(cert.alpha.values(), Fraction(0)) - sum(map(ref.integral, beta), Fraction(0))
+    assert objectives(forged, outcome).dual_obj == dual
 
 
 @pytest.fixture(params=["e1", "congested"])

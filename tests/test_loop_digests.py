@@ -1,9 +1,11 @@
 """Differential guard on the event loop.
 
 ``fixtures/loop_digests.json`` holds, for seeded generated instances, SHA-256
-digests of the event log and of the per-job outcome maps of ``simulate`` and
-of both baselines. Any change to dispatch, queue order, event order or the
-recorded fates of jobs shows up as a digest mismatch.
+digests of the event log, of the per-job outcome maps, and of every other
+trace fact (departures, charges, triggers, mid-run rejections, arrival
+records, snapshots and totals) of ``simulate`` and of both baselines. Any
+change to dispatch, queue order, event order or the recorded fates of jobs
+shows up as a digest mismatch.
 """
 
 import hashlib
@@ -40,8 +42,49 @@ def _maps(outcome) -> str:
     )
 
 
+def _trace(outcome) -> str:
+    def rat(value):
+        return None if value is None else format_rational(value)
+
+    return json.dumps(
+        {
+            "L": {str(j): rat(v) for j, v in sorted(outcome.L.items())},
+            "alpha": {str(j): rat(v) for j, v in sorted(outcome.alpha.items())},
+            "reject_trigger": {str(j): v for j, v in sorted(outcome.reject_trigger.items())},
+            "r1_events": [[[rat(t), h, rat(q)] for t, h, q in r1] for r1 in outcome.r1_events],
+            "arrivals": {
+                str(j): [
+                    info.branch,
+                    rat(info.w_after),
+                    info.v_before,
+                    info.v_after,
+                    info.r2,
+                    info.kappa,
+                    rat(info.kappa_q),
+                    info.r1_here,
+                ]
+                for j, info in sorted(outcome.arrivals.items())
+            },
+            "snapshots": [
+                [[rat(s.time), s.pending, s.running, rat(s.run_start), rat(s.W)] for s in snaps]
+                for snaps in outcome.snapshots
+            ],
+            "totals": [
+                rat(outcome.weighted_flow_completed),
+                rat(outcome.rejected_weight_preempt),
+                rat(outcome.rejected_weight_weight_gap),
+            ],
+        },
+        sort_keys=True,
+    )
+
+
 def _digest(outcome) -> dict:
-    return {"events": _sha(serialize_event_log(outcome.events)), "maps": _sha(_maps(outcome))}
+    return {
+        "events": _sha(serialize_event_log(outcome.events)),
+        "maps": _sha(_maps(outcome)),
+        "trace": _sha(_trace(outcome)),
+    }
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"n{c['n']}-m{c['m']}-ia{c['mean_interarrival']}-s{c['seed']}")

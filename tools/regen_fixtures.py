@@ -121,8 +121,8 @@ def _sha(text: str) -> str:
 
 
 def outcome_digest(outcome) -> dict:
-    """Digests of the event log and of the sorted S/C/machine_of/reject_cause
-    maps of one run."""
+    """Digests of the event log, of the sorted S/C/machine_of/reject_cause
+    maps, and of every other fact of the trace of one run."""
 
     def rat(value):
         return None if value is None else format_rational(value)
@@ -136,7 +136,42 @@ def outcome_digest(outcome) -> dict:
         },
         sort_keys=True,
     )
-    return {"events": _sha(serialize_event_log(outcome.events)), "maps": _sha(maps)}
+    trace = json.dumps(
+        {
+            "L": {str(j): rat(v) for j, v in sorted(outcome.L.items())},
+            "alpha": {str(j): rat(v) for j, v in sorted(outcome.alpha.items())},
+            "reject_trigger": {str(j): v for j, v in sorted(outcome.reject_trigger.items())},
+            "r1_events": [[[rat(t), h, rat(q)] for t, h, q in r1] for r1 in outcome.r1_events],
+            "arrivals": {
+                str(j): [
+                    info.branch,
+                    rat(info.w_after),
+                    info.v_before,
+                    info.v_after,
+                    info.r2,
+                    info.kappa,
+                    rat(info.kappa_q),
+                    info.r1_here,
+                ]
+                for j, info in sorted(outcome.arrivals.items())
+            },
+            "snapshots": [
+                [[rat(s.time), s.pending, s.running, rat(s.run_start), rat(s.W)] for s in snaps]
+                for snaps in outcome.snapshots
+            ],
+            "totals": [
+                rat(outcome.weighted_flow_completed),
+                rat(outcome.rejected_weight_preempt),
+                rat(outcome.rejected_weight_weight_gap),
+            ],
+        },
+        sort_keys=True,
+    )
+    return {
+        "events": _sha(serialize_event_log(outcome.events)),
+        "maps": _sha(maps),
+        "trace": _sha(trace),
+    }
 
 
 def loop_digests() -> list[dict]:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 # replay_prefix is not called here any more; perfbench/spans.py still patches
 # it as an attribute of this module.
-from .engine import SimOutcome, replay_prefix  # noqa: F401
+from .engine import SimOutcome, replay_prefix, walk_log  # noqa: F401
 from .instance import Instance, JobSpec, density
 from .policy import ZERO_BUDGET_BRANCHES, compute_rho
 
@@ -666,59 +666,31 @@ def _prefix_views(outcome: SimOutcome) -> Iterator[tuple[JobSpec, SimpleNamespac
     triggered, then a drain with no arrivals. Both rejection rules act only
     on arrival, so nothing is rejected in the drain: each machine finishes
     its running job at run_start + p, an idle machine starts its queue head
-    at r_J, and each queue then runs in order. One walk over the event log
-    keeps each machine's running job, its start, its queue and its mid-run
-    rejections so far; after J, J's machine's queue is
-    ``arrivals[J].v_after``. In the view the drained L, with no rejection
-    cause or trigger, overlay the full run's maps, and ``r1_events`` is the
-    walked prefix of each machine's list. A start that does not pop its
-    queue head, or a running job on J's machine other than
-    ``arrivals[J].kappa``, raises AssertionError.
+    at r_J, and each queue then runs in order. The state after J comes from
+    ``walk_log`` over a fresh outcome with ``outcome``'s log and decisions,
+    so ``outcome``'s own fields stay as they are. In the view the drained L,
+    with no rejection cause or trigger, overlay ``outcome``'s maps, and
+    ``r1_events`` are the mid-run rejections so far. A running job on J's
+    machine other than ``arrivals[J].kappa`` raises AssertionError, as does
+    a log that ``walk_log`` rejects.
     """
-    m = outcome.instance.machines
     jobs = outcome.jobs
-    events = outcome.events
-    running: list[int | None] = [None] * m
-    run_start: list[Fraction] = [_ZERO] * m
-    queue: list[tuple[int, ...]] = [()] * m
-    r1: list[list] = [[] for _ in range(m)]
-    arrived: JobSpec | None = None
-    for k, rec in enumerate(events):
-        i = rec.machine
-        if rec.kind == "arrival":
-            arrived = jobs[rec.job]
-        elif rec.kind == "start":
-            if queue[i][:1] != (rec.job,):
-                raise AssertionError(
-                    f"t={rec.time} machine {i}: job {rec.job} starts, "
-                    f"but the queue is {queue[i]}"
-                )
-            queue[i] = queue[i][1:]
-            running[i] = rec.job
-            run_start[i] = rec.time
-        elif rec.kind == "complete":
-            running[i] = None
-        elif rec.kind == "reject_preempt":
-            running[i] = None
-            r1[i] = outcome.r1_events[i][: len(r1[i]) + 1]
-        # J's arrival ends with the last event that J triggered.
-        if arrived is None or (k + 1 < len(events) and events[k + 1].trigger == arrived.id):
-            continue
-        info = outcome.arrivals[arrived.id]
-        i = outcome.machine_of[arrived.id]
-        queue[i] = info.v_after
-        if running[i] != info.kappa:
+    fresh = SimOutcome(outcome.instance, jobs, outcome.events, outcome.decisions, outcome.order)
+    for arrived, running, run_start, queue, r1 in walk_log(fresh):
+        i = fresh.machine_of[arrived.id]
+        kappa = outcome.arrivals[arrived.id].kappa
+        if running[i] != kappa:
             raise AssertionError(
                 f"job {arrived.id}: machine {i} runs {running[i]}, "
-                f"its arrival record says {info.kappa}"
+                f"its arrival record says {kappa}"
             )
         drained: dict[int, Fraction] = {}
-        for i in range(m):
+        for i, waiting in enumerate(queue):
             t = arrived.release
             if running[i] is not None:
                 t = run_start[i] + jobs[running[i]].proc[i]
                 drained[running[i]] = t
-            for h in queue[i]:
+            for h in waiting:
                 t += jobs[h].proc[i]
                 drained[h] = t
         no_cause = dict.fromkeys(drained)
@@ -729,9 +701,8 @@ def _prefix_views(outcome: SimOutcome) -> Iterator[tuple[JobSpec, SimpleNamespac
             L=ChainMap(drained, outcome.L),
             reject_cause=ChainMap(no_cause, outcome.reject_cause),
             reject_trigger=ChainMap(no_cause, outcome.reject_trigger),
-            r1_events=list(r1),
+            r1_events=[list(r) for r in r1],
         )
-        arrived = None
 
 
 def run_all_checks(

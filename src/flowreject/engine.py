@@ -13,26 +13,29 @@ machine, then apply the weight-gap decision that scoring computed there. A
 started job runs to completion unless the preempt rule rejects it; its
 consumed time is then wasted.
 
-The simulator keeps an audit trail (the event log, per-arrival decision
-records, mid-run rejections per machine, end-of-timestamp queue snapshots) so
-the certificate layer can reconstruct machine state at any time without
-re-running anything. The no-rejection baselines in ``oracle`` run through the
-same loop with their own arrival step.
+The simulator records only the event log and, per arrival, the weight-gap
+branch and the budget left, which the log does not hold. ``walk_log`` reads
+that record once and derives every other trace fact the certificate layer
+reads, with a queue order of its own rather than the policy's. The
+no-rejection baselines in ``oracle`` run through the same loop with their
+own arrival step and queue order.
 
 The trace of one run also holds every run over a prefix of the arrivals:
 both rejection rules act only on arrival, so the run over the first k jobs
 is the full run up to job k's arrival, then a drain in queue order.
-``analysis.check_monotonicity`` derives the prefixes from it that way.
+``analysis.check_monotonicity`` derives the prefixes from ``walk_log``'s
+state after each arrival.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
-from .instance import Instance, JobSpec
+from .instance import Instance, JobSpec, density
 from .rational import format_rational
 from . import policy
 
@@ -45,6 +48,7 @@ __all__ = [
     "Snapshot",
     "SimOutcome",
     "simulate",
+    "walk_log",
     "replay_prefix",
     "event_to_json",
     "serialize_event_log",
@@ -88,6 +92,12 @@ class MachineState:
         if self.running is None or self.run_start is None:
             return None
         return self.run_start + jobs[self.running].proc[self.id]
+
+    def idle(self) -> None:
+        """The running job leaves, and its counters with it."""
+        self.count2.pop(self.running, None)
+        self.running = self.run_start = None
+        self.count1 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -143,18 +153,28 @@ class Snapshot:
     W: Fraction
 
 
+def _queue_order(job: JobSpec, machine: int) -> tuple:
+    """The paper's queue order, derived here and not read from ``policy``."""
+    return (-density(job, machine), job.release, job.id)
+
+
 @dataclass
 class SimOutcome:
     """Complete trace of one simulation run.
 
-    ``jobs`` maps id to job. ``r1_events[i]`` lists the mid-run rejections on
-    machine i as (time, job, remaining work). The total weight is
+    A run records ``events`` and ``decisions`` (arriving job -> weight-gap
+    branch and budget left) in the queue ``order``, a key over (job,
+    machine). :func:`walk_log` derives every field after ``order`` from
+    them. ``r1_events[i]`` lists the mid-run rejections on machine i as
+    (time, job, remaining work). The total weight is
     ``instance.total_weight``.
     """
 
     instance: Instance
     jobs: dict[int, JobSpec] = field(default_factory=dict)
     events: list[EventRecord] = field(default_factory=list)
+    decisions: dict[int, tuple[str, Fraction]] = field(default_factory=dict)
+    order: Callable[[JobSpec, int], tuple] = _queue_order
     machine_of: dict[int, int] = field(default_factory=dict)
     alpha: dict[int, Fraction] = field(default_factory=dict)
     S: dict[int, Fraction | None] = field(default_factory=dict)
@@ -168,13 +188,110 @@ class SimOutcome:
     weighted_flow_completed: Fraction = Fraction(0)
     rejected_weight_preempt: Fraction = Fraction(0)
     rejected_weight_weight_gap: Fraction = Fraction(0)
+    times: list[Fraction] = field(default_factory=list)
 
     def event_times(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for rec in self.events:
-            if not out or out[-1] != rec.time:
-                out.append(rec.time)
-        return out
+        """The distinct event times in log order."""
+        return self.times
+
+
+def walk_log(out: SimOutcome) -> Iterator[tuple]:
+    """Fills the derived fields of a fresh ``out`` from its events and
+    decisions, in one pass over the log.
+
+    After each arrival and the rejections it triggered, yields the arriving
+    job and, per machine, the running job, its start, the queue and the
+    mid-run rejections so far; these are live, so read them before the next
+    step. The queue is kept in ``out.order``.
+
+    A log that is not a run raises AssertionError: a second arrival of a
+    job; a start that does not pop its queue head, comes before the job's
+    release or finds the machine busy; a completion other than the running
+    job's at its start plus its processing time; a rejection whose trigger
+    is not the job arriving then; a job that never leaves.
+    """
+    jobs, events = out.jobs, out.events
+    m = out.instance.machines
+    running: list[int | None] = [None] * m
+    run_start: list[Fraction | None] = [None] * m
+    queue: list[list[int]] = [[] for _ in range(m)]
+    budget = [Fraction(0)] * m
+    r1_stamp: set[int] = set()  # machines with a mid-run rejection at this time
+    out.S, out.C = dict.fromkeys(jobs), dict.fromkeys(jobs)
+    out.reject_cause, out.reject_trigger = dict.fromkeys(jobs), dict.fromkeys(jobs)
+    out.r1_events = [[] for _ in range(m)]
+    out.snapshots = [[] for _ in range(m)]
+    arrived: JobSpec | None = None
+    for k, rec in enumerate(events):
+        t, i, j = rec.time, rec.machine, rec.job
+        if rec.kind == "arrival":
+            if j in out.machine_of:
+                raise AssertionError(f"t={t}: job {j} arrives a second time")
+            arrived = jobs[j]
+            out.machine_of[j] = i
+            if rec.alpha_j is not None:
+                out.alpha[j] = rec.alpha_j
+        elif rec.kind == "start":
+            if queue[i][:1] != [j]:
+                raise AssertionError(
+                    f"t={t} machine {i}: job {j} starts, but the queue is {tuple(queue[i])}"
+                )
+            if t < jobs[j].release:
+                raise AssertionError(f"t={t} machine {i}: job {j} starts before its release")
+            if running[i] is not None:
+                raise AssertionError(f"t={t} machine {i}: job {j} starts while {running[i]} runs")
+            del queue[i][0]
+            running[i], run_start[i] = j, t
+            out.S[j] = t
+        elif rec.kind == "complete":
+            if running[i] != j or t != run_start[i] + jobs[j].proc[i]:
+                raise AssertionError(
+                    f"t={t} machine {i}: job {j} completes, but not at its start plus p there"
+                )
+            running[i] = run_start[i] = None
+            out.C[j] = out.L[j] = t
+            out.weighted_flow_completed += jobs[j].weight * (t - jobs[j].release)
+        elif arrived is None or rec.trigger != arrived.id or t != arrived.release:
+            raise AssertionError(
+                f"t={t} machine {i}: rejection triggered by job {rec.trigger}, not arriving now"
+            )
+        elif rec.kind == "reject_preempt":
+            running[i] = run_start[i] = None
+            out.L[j], out.reject_cause[j], out.reject_trigger[j] = t, "preempt", rec.trigger
+            out.r1_events[i].append((t, j, rec.q))
+            r1_stamp.add(i)
+            out.rejected_weight_preempt += jobs[j].weight
+        else:
+            for h in rec.jobs:
+                out.L[h], out.reject_cause[h], out.reject_trigger[h] = t, "weight_gap", rec.trigger
+                out.rejected_weight_weight_gap += jobs[h].weight
+        nxt = events[k + 1] if k + 1 < len(events) else None
+        # An arrival ends with the last event that it triggered.
+        if arrived is not None and (nxt is None or nxt.trigger != arrived.id):
+            j = arrived.id
+            i = out.machine_of[j]
+            r2 = rec.jobs or ()  # a weight-gap rejection is an arrival's last event
+            v_before = tuple(queue[i])
+            queue[i] = [h for h in queue[i] if h not in r2]
+            if j not in r2:
+                insort(queue[i], j, key=lambda h: out.order(jobs[h], i))
+            if j in out.decisions:
+                branch, budget[i] = out.decisions[j]
+                kappa = running[i]
+                kappa_q = None if kappa is None else run_start[i] + jobs[kappa].proc[i] - t
+                out.arrivals[j] = ArrivalInfo(
+                    branch, budget[i], v_before, tuple(queue[i]), r2, kappa, kappa_q, i in r1_stamp
+                )
+            yield arrived, running, run_start, queue, out.r1_events
+            arrived = None
+        if nxt is None or nxt.time != t:
+            out.times.append(t)
+            r1_stamp.clear()
+            for i, snaps in enumerate(out.snapshots):
+                snaps.append(Snapshot(t, tuple(queue[i]), running[i], run_start[i], budget[i]))
+    for j in jobs:
+        if j not in out.L:
+            raise AssertionError(f"job {j} never leaves")
 
 
 def event_to_json(record: EventRecord) -> dict:
@@ -236,14 +353,6 @@ class _Simulator:
         self.eps = instance.epsilon
         self.machines = [MachineState(i) for i in range(instance.machines)]
         self.out = SimOutcome(instance=instance, jobs=self.jobs)
-        m = instance.machines
-        self.out.r1_events = [[] for _ in range(m)]
-        self.out.snapshots = [[] for _ in range(m)]
-        for j in instance.jobs:
-            self.out.S[j.id] = None
-            self.out.C[j.id] = None
-            self.out.reject_cause[j.id] = None
-            self.out.reject_trigger[j.id] = None
 
     def run(self) -> SimOutcome:
         jobs = self.instance.jobs
@@ -258,44 +367,24 @@ class _Simulator:
             now = min(times)
             for m, end in zip(self.machines, ends):
                 if end is not None and end == now:
-                    self._complete(m, now)
-            self._r1_this_stamp: set[int] = set()
+                    done = EventRecord(now, "complete", job=m.running, machine=m.id)
+                    self.out.events.append(done)
+                    m.idle()
             while cursor < len(jobs) and jobs[cursor].release == now:
                 self._arrive(jobs[cursor], now)
                 cursor += 1
             for m in self.machines:
                 if m.running is None and m.pending:
-                    self._start(m, now)
+                    m.running, m.run_start = m.pending.pop(0), now
+                    self.out.events.append(EventRecord(now, "start", job=m.running, machine=m.id))
             for m in self.machines:
                 self._assert_budget(m, now)
-                self.out.snapshots[m.id].append(
-                    Snapshot(now, tuple(m.pending), m.running, m.run_start, m.W)
-                )
-        self._finalize()
+        for _ in walk_log(self.out):
+            pass
         return self.out
-
-    def _complete(self, m: MachineState, now: Fraction) -> None:
-        job_id = m.running
-        assert job_id is not None
-        self.out.events.append(EventRecord(now, "complete", job=job_id, machine=m.id))
-        self.out.C[job_id] = now
-        self.out.L[job_id] = now
-        m.running = None
-        m.run_start = None
-        m.count1 = Fraction(0)
-        m.count2.pop(job_id, None)
-
-    def _start(self, m: MachineState, now: Fraction) -> None:
-        job_id = m.pending.pop(0)
-        m.running = job_id
-        m.run_start = now
-        self.out.events.append(EventRecord(now, "start", job=job_id, machine=m.id))
-        self.out.S[job_id] = now
 
     def _arrive(self, j: JobSpec, now: Fraction) -> None:
         chosen, alpha_j, alphas, dec = policy.dispatch(self.machines, j, self.jobs, self.eps)
-        self.out.machine_of[j.id] = chosen
-        self.out.alpha[j.id] = alpha_j
         self.out.events.append(
             EventRecord(
                 now,
@@ -316,19 +405,9 @@ class _Simulator:
                     now, "reject_preempt", job=rejected1, machine=m.id, trigger=j.id, q=q
                 )
             )
-            self.out.L[rejected1] = now
-            self.out.reject_cause[rejected1] = "preempt"
-            self.out.reject_trigger[rejected1] = j.id
-            self.out.r1_events[m.id].append((now, rejected1, q))
-            self._r1_this_stamp.add(m.id)
-            m.running = None
-            m.run_start = None
-            m.count1 = Fraction(0)
-            m.count2.pop(rejected1, None)
+            m.idle()
 
         v_before = tuple(m.pending)
-        kappa = m.running
-        kappa_q = m.remaining(now, self.jobs) if m.running is not None else None
 
         # The preempt rule touched only the running job, which is never in
         # the queue the decision read, so the decision still holds.
@@ -339,9 +418,6 @@ class _Simulator:
         if j.id not in rejected_set:
             self._insert_pending(m, j, policy.queue_key)
         for h in dec.rejected:
-            self.out.L[h] = now
-            self.out.reject_cause[h] = "weight_gap"
-            self.out.reject_trigger[h] = j.id
             if h != j.id:
                 m.count2.pop(h, None)
         if dec.rejected:
@@ -355,27 +431,12 @@ class _Simulator:
                     branch=dec.branch,
                 )
             )
-        self.out.arrivals[j.id] = ArrivalInfo(
-            branch=dec.branch,
-            w_after=m.W,
-            v_before=v_before,
-            v_after=tuple(m.pending),
-            r2=dec.rejected,
-            kappa=kappa,
-            kappa_q=kappa_q,
-            r1_here=m.id in self._r1_this_stamp,
-        )
+        self.out.decisions[j.id] = (dec.branch, m.W)
         self._assert_arrival_properties(j, dec, v_before, m, now)
 
     def _insert_pending(self, m: MachineState, j: JobSpec, queue_key) -> None:
         """Inserts j into m's queue, kept sorted by ``queue_key(job, machine)``."""
-        key = queue_key(j, m.id)
-        idx = len(m.pending)
-        for k, h in enumerate(m.pending):
-            if queue_key(self.jobs[h], m.id) > key:
-                idx = k
-                break
-        m.pending.insert(idx, j.id)
+        insort(m.pending, j.id, key=lambda h: queue_key(self.jobs[h], m.id))
 
     def _assert_arrival_properties(self, j, dec, v_before, m, now) -> None:
         if m.W < 0:
@@ -410,18 +471,3 @@ class _Simulator:
                     f"t={now} machine {m.id}: budget {m.W} too large for queue "
                     f"tail weight {nu_w}"
                 )
-
-    def _finalize(self) -> None:
-        out = self.out
-        for j in self.instance.jobs:
-            c = out.C[j.id]
-            if c is not None:
-                out.weighted_flow_completed += j.weight * (c - j.release)
-            elif out.reject_cause[j.id] == "preempt":
-                out.rejected_weight_preempt += j.weight
-            elif out.reject_cause[j.id] == "weight_gap":
-                out.rejected_weight_weight_gap += j.weight
-            else:
-                raise SimulationPanic(f"job {j.id} neither completed nor rejected")
-            if j.id not in out.L:
-                raise SimulationPanic(f"job {j.id} never left the queue")

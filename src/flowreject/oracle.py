@@ -147,7 +147,7 @@ class _Baseline(_Simulator):
 
     def __init__(self, instance: Instance, key) -> None:
         super().__init__(instance)
-        self.key = key
+        self.key = self.out.order = key
 
     def _backlog(self, m: MachineState, now: Fraction) -> Fraction:
         total = sum((self.jobs[h].proc[m.id] for h in m.pending), _ZERO)
@@ -155,7 +155,6 @@ class _Baseline(_Simulator):
 
     def _arrive(self, j: JobSpec, now: Fraction) -> None:
         m = min(self.machines, key=lambda s: (self._backlog(s, now) + j.proc[s.id], s.id))
-        self.out.machine_of[j.id] = m.id
         self.out.events.append(EventRecord(now, "arrival", job=j.id, machine=m.id))
         self._insert_pending(m, j, self.key)
 

@@ -193,11 +193,81 @@ def running_job_is_not_kappa(outcome):
     return dataclasses.replace(outcome, arrivals=arrivals), "its arrival record says None"
 
 
-@pytest.mark.parametrize("forgery", [start_skips_queue_head, running_job_is_not_kappa])
+def mid_run(outcome, kind):
+    """The index of an event of ``kind`` halfway through the log."""
+    ks = [k for k, rec in enumerate(outcome.events) if rec.kind == kind]
+    return ks[len(ks) // 2]
+
+
+def forged_log(outcome, k, **changes):
+    events = list(outcome.events)
+    events[k] = dataclasses.replace(events[k], **changes)
+    return dataclasses.replace(outcome, events=events)
+
+
+def start_before_release(outcome):
+    k = mid_run(outcome, "start")
+    release = outcome.jobs[outcome.events[k].job].release
+    return forged_log(outcome, k, time=release - 1), "starts before its release"
+
+
+def start_on_busy_machine(outcome):
+    """A start of a queued job moved in front of the completion that freed
+    its machine."""
+    events = outcome.events
+    pairs = [
+        (c, k)
+        for c, done in enumerate(events) if done.kind == "complete"
+        for k, rec in enumerate(events[c + 1:], c + 1)
+        if rec.kind == "start" and rec.machine == done.machine and rec.time == done.time
+        and outcome.jobs[rec.job].release < rec.time
+    ]
+    c, k = pairs[len(pairs) // 2]
+    events = list(events)
+    events.insert(c, events.pop(k))
+    return dataclasses.replace(outcome, events=events), "starts while"
+
+
+def completion_off_its_duration(outcome):
+    k = mid_run(outcome, "complete")
+    return forged_log(outcome, k, time=outcome.events[k].time + 1), "not at its start plus p"
+
+
+def second_arrival(outcome):
+    arrival = outcome.events[mid_run(outcome, "arrival")]
+    forged = dataclasses.replace(outcome, events=[*outcome.events, arrival])
+    return forged, "arrives a second time"
+
+
+def rejection_by_earlier_arrival(outcome):
+    k = mid_run(outcome, "reject_weight_gap")
+    first = outcome.instance.jobs[0].id
+    return forged_log(outcome, k, trigger=first), f"triggered by job {first}, not arriving"
+
+
+def job_never_leaves(outcome):
+    """The log without the completion of the job that finishes last."""
+    *events, last = outcome.events
+    assert last.kind == "complete"
+    return dataclasses.replace(outcome, events=events), f"job {last.job} never leaves"
+
+
+@pytest.mark.parametrize(
+    "forgery",
+    [
+        start_skips_queue_head,
+        running_job_is_not_kappa,
+        start_before_release,
+        start_on_busy_machine,
+        completion_off_its_duration,
+        second_arrival,
+        rejection_by_earlier_arrival,
+        job_never_leaves,
+    ],
+)
 def test_walk_rejects_forged_trace(forgery):
     # The prefix runs are derived from the full trace, so the walk must
-    # raise on a trace whose queues and running jobs do not add up, not
-    # report on it.
+    # raise on a trace that is not a run, not report on it.
     forged, match = forgery(simulate(generate(congested_spec(40, 2, Fraction(1, 2), 1))))
     with pytest.raises(AssertionError, match=match):
         check_monotonicity(forged)
